@@ -2,8 +2,12 @@
 //! in `crates/wire/src/messages.rs`. Fails on:
 //! - two tag consts in the same family (`REQ_*` / `RESP_*`) sharing a value;
 //! - a `Request`/`Response` enum variant with no arm in `encode_into` or
-//!   `decode` (a variant that encodes but can't decode — or vice versa —
-//!   is a protocol break waiting for the first real deployment);
+//!   on its decode path (a variant that encodes but can't decode — or
+//!   vice versa — is a protocol break waiting for the first real
+//!   deployment). The decode path is every `decode`, `decode_*` and
+//!   `to_owned` fn of the file: `Request::decode` is the borrowed
+//!   `RequestRef::decode` (which parses the plain variants in
+//!   `decode_plain`) followed by `to_owned`;
 //! - a tag value missing from the reserved-tag table in `analyzer.toml`
 //!   (new tags must be reserved) or reserved under a *different* const
 //!   name (a removed tag's value must stay burned, never reassigned).
@@ -143,10 +147,10 @@ fn audit_arms(f: &SourceFile, fam: &Family<'_>, out: &mut Vec<Violation>) {
     };
     let fns = f.functions();
     for method in ["encode_into", "decode"] {
-        let Some(span) = fns
+        if !fns
             .iter()
-            .find(|s| s.name == method && s.header >= impl_start && s.header <= impl_end)
-        else {
+            .any(|s| s.name == method && s.header >= impl_start && s.header <= impl_end)
+        {
             emit(
                 f,
                 impl_start,
@@ -154,13 +158,28 @@ fn audit_arms(f: &SourceFile, fam: &Family<'_>, out: &mut Vec<Violation>) {
                 format!("could not locate `fn {method}` in `impl {}`", fam.enum_name),
             );
             continue;
-        };
+        }
+        let spans: Vec<_> = fns
+            .iter()
+            .filter(|s| {
+                if method == "encode_into" {
+                    s.name == method && s.header >= impl_start && s.header <= impl_end
+                } else {
+                    !f.in_test[s.header]
+                        && (s.name == "decode"
+                            || s.name.starts_with("decode_")
+                            || s.name == "to_owned")
+                }
+            })
+            .collect();
         for (variant, vline) in &variants {
             let qualified = format!("{}::{variant}", fam.enum_name);
             let selfed = format!("Self::{variant}");
-            let present = (span.header..=span.body_close.line).any(|li| {
-                let code = &f.lines[li].code;
-                has_word(code, &qualified) || has_word(code, &selfed)
+            let present = spans.iter().any(|span| {
+                (span.header..=span.body_close.line).any(|li| {
+                    let code = &f.lines[li].code;
+                    has_word(code, &qualified) || has_word(code, &selfed)
+                })
             });
             if !present && !f.allowed(*vline, NAME) {
                 emit(
@@ -364,6 +383,49 @@ impl Response {
         assert!(
             v.iter()
                 .any(|x| x.msg.contains("`Request::Insert` has no arm in `decode`")),
+            "got: {v:?}"
+        );
+    }
+
+    #[test]
+    fn decode_arms_may_live_in_decode_helpers_and_to_owned() {
+        let c = cfg(&[(1, "REQ_PING"), (2, "REQ_INSERT")], &[(1, "RESP_OK")]);
+        let split = FIXTURE.replace(
+            "    pub fn decode(buf: &[u8]) -> Result<Self, ()> {
+        Ok(match buf[0] {
+            REQ_PING => Request::Ping,
+            REQ_INSERT => Request::Insert { chunk: 0 },
+            _ => return Err(()),
+        })
+    }
+}",
+            "    pub fn decode(buf: &[u8]) -> Result<Self, ()> {
+        RequestRef::decode(buf).map(RequestRef::to_owned)
+    }
+}
+
+impl RequestRef {
+    pub fn to_owned(self) -> Request {
+        match self {
+            RequestRef::Insert => Request::Insert { chunk: 0 },
+            RequestRef::Other(req) => req,
+        }
+    }
+}
+
+fn decode_plain(tag: u8) -> Result<Request, ()> {
+    Ok(match tag {
+        REQ_PING => Request::Ping,
+        _ => return Err(()),
+    })
+}",
+        );
+        assert!(run(&c, &split).is_empty());
+        let broken = split.replace("        REQ_PING => Request::Ping,\n", "");
+        let v = run(&c, &broken);
+        assert!(
+            v.iter()
+                .any(|x| x.msg.contains("`Request::Ping` has no arm in `decode`")),
             "got: {v:?}"
         );
     }

@@ -8,13 +8,14 @@
 //!
 //! Rows are matched by their configuration fields (`bench` phase plus
 //! every integer knob such as `shards`, `query_threads`, `chunks`);
-//! throughput metrics (`*_ops_s`, `speedup`) are higher-better and fail
-//! the run when the current value drops more than `tolerance` below the
-//! baseline. Latency fields are reported but not gated (they are the
-//! reciprocal story of the ops/s fields and noisier). Rows present only
-//! in the current file (new phases) pass with a note; rows present only
-//! in the baseline fail — a silently dropped phase must not pass the
-//! gate.
+//! throughput metrics (`*_ops_s`) are higher-better and fail the run when
+//! the current value drops more than `tolerance` below the baseline.
+//! Latency fields are reported but not gated (they are the reciprocal
+//! story of the ops/s fields and noisier). Rows present only in the
+//! current file (new phases) pass with a note; rows present only in the
+//! baseline fail, and so does a gated metric that the baseline row has
+//! but the matching current row lacks — a silently dropped phase or a
+//! renamed metric must not pass the gate.
 //!
 //! The parser handles exactly the flat one-object-per-line JSON the bench
 //! bins emit (string/number/bool values, no nesting) — by design, so the
@@ -101,7 +102,6 @@ fn row_key(row: &BTreeMap<String, Value>) -> String {
 fn is_metric(key: &str) -> bool {
     key.contains("_ops_s")
         || key.contains("_ms")
-        || key == "speedup"
         || key == "rebuild_chunks_copied"
         || key == "ingest_exhausted"
         || key == "injected_faults"
@@ -118,8 +118,7 @@ fn is_gated(key: &str) -> bool {
     // probabilistic store-fault plan: throughput there measures the *cost
     // of the faults* (retries, injected delays), not a code path whose
     // regression should block a merge. Reported, not gated.
-    (key.contains("_ops_s") && key != "concurrent_ingest_ops_s" && !key.starts_with("faulty_"))
-        || key == "speedup"
+    key.contains("_ops_s") && key != "concurrent_ingest_ops_s" && !key.starts_with("faulty_")
 }
 
 fn load(path: &str) -> Vec<BTreeMap<String, Value>> {
@@ -130,32 +129,13 @@ fn load(path: &str) -> Vec<BTreeMap<String, Value>> {
     text.lines().filter_map(parse_line).collect()
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut files = Vec::new();
-    let mut tolerance = 0.20f64;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--tolerance" {
-            tolerance = args
-                .get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("compare: --tolerance needs a fraction, e.g. 0.2");
-                    std::process::exit(2);
-                });
-            i += 2;
-        } else {
-            files.push(args[i].clone());
-            i += 1;
-        }
-    }
-    if files.len() != 2 {
-        eprintln!("usage: compare <baseline.json> <current.json> [--tolerance 0.2]");
-        return ExitCode::from(2);
-    }
-    let baseline = load(&files[0]);
-    let current = load(&files[1]);
+/// Prints one line per compared metric and returns how many gated
+/// metrics regressed beyond `tolerance` or went missing.
+fn count_regressions(
+    baseline: &[BTreeMap<String, Value>],
+    current: &[BTreeMap<String, Value>],
+    tolerance: f64,
+) -> usize {
     let base_by_key: BTreeMap<String, &BTreeMap<String, Value>> =
         baseline.iter().map(|r| (row_key(r), r)).collect();
     let cur_keys: Vec<String> = current.iter().map(row_key).collect();
@@ -185,6 +165,10 @@ fn main() -> ExitCode {
                 if gated { "" } else { " [not gated]" },
             );
         }
+        for metric in base.keys().filter(|k| is_gated(k) && !row.contains_key(*k)) {
+            println!("MISSING {key} :: {metric} (gated baseline metric absent from current row)");
+            regressions += 1;
+        }
     }
     for key in base_by_key.keys() {
         if !cur_keys.iter().any(|k| k == key) {
@@ -192,6 +176,34 @@ fn main() -> ExitCode {
             regressions += 1;
         }
     }
+    regressions
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut files = Vec::new();
+    let mut tolerance = 0.20f64;
+    let mut i = 0;
+    while i < args.len() {
+        if args[i] == "--tolerance" {
+            tolerance = args
+                .get(i + 1)
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| {
+                    eprintln!("compare: --tolerance needs a fraction, e.g. 0.2");
+                    std::process::exit(2);
+                });
+            i += 2;
+        } else {
+            files.push(args[i].clone());
+            i += 1;
+        }
+    }
+    if files.len() != 2 {
+        eprintln!("usage: compare <baseline.json> <current.json> [--tolerance 0.2]");
+        return ExitCode::from(2);
+    }
+    let regressions = count_regressions(&load(&files[0]), &load(&files[1]), tolerance);
     if regressions > 0 {
         eprintln!(
             "compare: {regressions} regression(s) beyond {:.0}% tolerance",
@@ -238,8 +250,7 @@ mod tests {
     #[test]
     fn gating_covers_throughput_not_latency() {
         assert!(is_gated("ingest_ops_s"));
-        assert!(is_gated("query_ops_s_par"));
-        assert!(is_gated("speedup"));
+        assert!(is_gated("query_ops_s"));
         assert!(!is_gated("query_wall_ms"));
         assert!(!is_gated("promotion_ms"));
         assert!(!is_gated("concurrent_ingest_ops_s"));
@@ -247,6 +258,18 @@ mod tests {
         assert!(!is_gated("faulty_query_ops_s"));
         assert!(is_metric("faulty_ingest_ops_s"));
         assert!(is_metric("concurrent_ingest_ops_s"));
-        assert!(is_metric("query_ms_par"));
+        assert!(is_metric("query_ms"));
+    }
+
+    #[test]
+    fn gated_metric_missing_from_current_row_regresses() {
+        let baseline = [parse_line(r#"{"bench":"x","chunks":8,"query_ops_s_par":699}"#).unwrap()];
+        let renamed = [parse_line(r#"{"bench":"x","chunks":8,"query_ops_s":699}"#).unwrap()];
+        assert_eq!(count_regressions(&baseline, &renamed, 0.2), 1);
+        assert_eq!(count_regressions(&baseline, &baseline, 0.2), 0);
+        // A missing ungated metric is not a regression.
+        let base_ms = [parse_line(r#"{"bench":"x","chunks":8,"query_ms":1.4}"#).unwrap()];
+        let cur_ms = [parse_line(r#"{"bench":"x","chunks":8}"#).unwrap()];
+        assert_eq!(count_regressions(&base_ms, &cur_ms, 0.2), 0);
     }
 }

@@ -36,9 +36,8 @@
 //!
 //! The **deep-tree** phase measures single-query latency down a
 //! many-level tree (one stream, small arity, tiny cache, latency-modelled
-//! store) twice over the same data — parallel edge recursion off, then
-//! on — so the reported `speedup` isolates the intra-query parallelism
-//! and the run can assert the two modes answer byte-identically.
+//! store), where every misaligned query pays one store fetch per level
+//! down each of its two partial edges.
 //!
 //! Env knobs: `TC_SHARDS` (comma list, default `1,2,4,8`), `TC_STREAMS`
 //! (default 32), `TC_CHUNKS` (chunks/stream, default 64), `TC_PRODUCERS`
@@ -433,20 +432,14 @@ fn run_mixed(
 struct DeepTreeSample {
     chunks: u64,
     arity: usize,
-    query_ms_seq: f64,
-    query_ms_par: f64,
-    speedup: f64,
-    query_ops_s_par: f64,
+    query_ms: f64,
+    query_ops_s: f64,
 }
 
 /// The deep-tree phase: ONE stream with a small arity (many tree levels)
 /// behind a latency-modelled store and a tiny index cache, so a single
 /// misaligned statistical query pays one store fetch per level down each
-/// of its two partial edges. Measures the same query sweep twice over the
-/// same ingested store — parallel edge recursion off, then on — so the
-/// reported speedup isolates exactly the intra-query parallelism this
-/// repo's index added (the edges' store waits overlap; replies are
-/// byte-identical, which the run asserts).
+/// of its two partial edges.
 fn run_deep_tree(
     chunks: u64,
     arity: usize,
@@ -475,65 +468,41 @@ fn run_deep_tree(
                 .unwrap()
         })
         .collect();
-    let kv = latency_store(store_latency);
-    let open = |parallel: bool| {
-        ShardedService::open(
-            kv.clone(),
-            ServiceConfig {
-                shards: 1,
-                engine: timecrypt_server::ServerConfig {
-                    arity,
-                    // Tiny cache: the per-level node fetches really hit the
-                    // (latency-modelled) store, the regime where edge
-                    // parallelism pays.
-                    cache_bytes: 1024,
-                    parallel_query: parallel,
-                    ..timecrypt_server::ServerConfig::default()
-                },
-                ..ServiceConfig::default()
+    let svc = ShardedService::open(
+        latency_store(store_latency),
+        ServiceConfig {
+            shards: 1,
+            engine: timecrypt_server::ServerConfig {
+                arity,
+                // Tiny cache: the per-level node fetches really hit the
+                // (latency-modelled) store.
+                cache_bytes: 1024,
+                ..timecrypt_server::ServerConfig::default()
             },
-        )
-        .unwrap()
-    };
-    // Ingest once (through the batched pipeline) with the sequential
-    // service; the parallel service reopens the same store read-only.
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    svc.create_stream(0, 0, 10_000, 2).unwrap();
+    for window in workload.chunks(64) {
+        for r in svc.submit_batch(window.to_vec()) {
+            r.unwrap();
+        }
+    }
     let (ts_s, ts_e) = (10_000i64, (chunks as i64 - 1) * 10_000);
-    let measure = |svc: &ShardedService| {
-        for _ in 0..3 {
-            svc.get_stat_range(&[0], ts_s, ts_e).unwrap(); // warm-up
-        }
-        let t = Instant::now();
-        let mut reply = None;
-        for _ in 0..queries {
-            reply = Some(svc.get_stat_range(&[0], ts_s, ts_e).unwrap());
-        }
-        (t.elapsed().as_secs_f64() * 1e3 / queries as f64, reply)
-    };
-    let (seq_ms, seq_reply) = {
-        let svc = open(false);
-        svc.create_stream(0, 0, 10_000, 2).unwrap();
-        for window in workload.chunks(64) {
-            for r in svc.submit_batch(window.to_vec()) {
-                r.unwrap();
-            }
-        }
-        measure(&svc)
-    };
-    let (par_ms, par_reply) = {
-        let svc = open(true);
-        measure(&svc)
-    };
-    assert_eq!(
-        seq_reply, par_reply,
-        "parallel edge recursion must answer byte-identically"
-    );
+    for _ in 0..3 {
+        svc.get_stat_range(&[0], ts_s, ts_e).unwrap(); // warm-up
+    }
+    let t = Instant::now();
+    for _ in 0..queries {
+        svc.get_stat_range(&[0], ts_s, ts_e).unwrap();
+    }
+    let query_ms = t.elapsed().as_secs_f64() * 1e3 / queries as f64;
     DeepTreeSample {
         chunks,
         arity,
-        query_ms_seq: seq_ms,
-        query_ms_par: par_ms,
-        speedup: seq_ms / par_ms,
-        query_ops_s_par: 1e3 / par_ms,
+        query_ms,
+        query_ops_s: 1e3 / query_ms,
     }
 }
 
@@ -1021,8 +990,7 @@ fn main() {
         );
     }
 
-    // Deep-tree phase: single-query latency down a many-level tree,
-    // sequential vs parallel edge recursion over the same store.
+    // Deep-tree phase: single-query latency down a many-level tree.
     if env_usize("TC_DEEP", 1) != 0 {
         let deep_chunks = env_usize("TC_DEEP_CHUNKS", 8192) as u64;
         let deep_arity = env_usize("TC_DEEP_ARITY", 4).max(2);
@@ -1030,8 +998,8 @@ fn main() {
         eprintln!("sealing deep-tree workload: {deep_chunks} chunks (arity {deep_arity}) ...");
         let s = run_deep_tree(deep_chunks, deep_arity, deep_queries, store_latency);
         println!(
-            "{{\"bench\":\"deep_tree\",\"chunks\":{},\"arity\":{},\"queries\":{},\"query_ms_seq\":{:.3},\"query_ms_par\":{:.3},\"speedup\":{:.2},\"query_ops_s_par\":{:.0}}}",
-            s.chunks, s.arity, deep_queries, s.query_ms_seq, s.query_ms_par, s.speedup, s.query_ops_s_par,
+            "{{\"bench\":\"deep_tree\",\"chunks\":{},\"arity\":{},\"queries\":{},\"query_ms\":{:.3},\"query_ops_s\":{:.0}}}",
+            s.chunks, s.arity, deep_queries, s.query_ms, s.query_ops_s,
         );
     }
 

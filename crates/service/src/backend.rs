@@ -34,9 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use timecrypt_chunk::serialize::EncryptedChunk;
-use timecrypt_obs::{tc_debug, trace, TraceContext};
+use timecrypt_obs::{trace, TraceContext};
 use timecrypt_server::{ServerError, StreamStat, TimeCryptServer, EXPORT_PAGE_BYTES};
-use timecrypt_wire::messages::{peer_lacks_trace_support, Request, Response, StreamInfoWire};
+use timecrypt_wire::messages::{Request, Response, StreamInfoWire};
 use timecrypt_wire::pool::{ClientPool, PoolConfig};
 
 /// One per-stream statistical sub-query outcome.
@@ -410,11 +410,6 @@ pub struct RemoteShard {
     pool: ClientPool,
     metrics: Arc<ServiceMetrics>,
     shard: usize,
-    /// Latched when the node rejected a trace-context envelope (an older
-    /// build): every later request from this backend goes out untraced,
-    /// so a mixed-version cluster interoperates at full speed after one
-    /// probe per backend.
-    peer_legacy: AtomicBool,
 }
 
 impl RemoteShard {
@@ -428,58 +423,25 @@ impl RemoteShard {
             pool: ClientPool::new(addr, pool_cfg),
             metrics,
             shard,
-            peer_legacy: AtomicBool::new(false),
         }
     }
+}
 
-    /// The trace context to stamp on the next outgoing request: a child
-    /// of the caller's current context, unless the peer is known to
-    /// predate the envelope.
-    fn trace_ctx(&self) -> Option<TraceContext> {
-        if self.peer_legacy.load(Ordering::Relaxed) {
-            return None;
-        }
-        trace::current().map(|c| c.child())
-    }
-
-    /// Latches the legacy-peer flag when `msg` is the decode error an old
-    /// node answers a trace envelope with. Safe to retry even mutations
-    /// afterwards: the rejection happened at decode, before dispatch, so
-    /// the node applied nothing.
-    fn note_trace_reject(&self, msg: &str) -> bool {
-        if peer_lacks_trace_support(msg) {
-            if !self.peer_legacy.swap(true, Ordering::Relaxed) {
-                tc_debug!(
-                    "service",
-                    "peer {} rejected trace envelope; falling back to untraced requests",
-                    self.pool.addr()
-                );
-            }
-            return true;
-        }
-        false
-    }
+/// The trace context to stamp on the next outgoing request: a child of
+/// the caller's current context, if any.
+fn trace_ctx() -> Option<TraceContext> {
+    trace::current().map(|c| c.child())
 }
 
 impl ShardBackend for RemoteShard {
     fn call(&self, req: Request) -> Result<Response, ServerError> {
         let _span = trace::stage("backend.exchange");
-        loop {
-            let ctx = self.trace_ctx();
-            return match self.pool.call_traced(ctx, &req) {
-                Ok(resp) => Ok(resp),
-                // `ClientPool::call` surfaces `Response::Error` as a client
-                // error; re-wrap it — the node answered, the transport is
-                // fine. A trace-envelope rejection from an old node retries
-                // once untraced (nothing was applied; see `note_trace_reject`).
-                Err(timecrypt_wire::transport::ClientError::Server(msg)) => {
-                    if ctx.is_some() && self.note_trace_reject(&msg) {
-                        continue;
-                    }
-                    Ok(Response::Error(msg))
-                }
-                Err(_) => Err(UNREACHABLE),
-            };
+        match self.pool.call_traced(trace_ctx(), &req) {
+            Ok(resp) => Ok(resp),
+            // `ClientPool::call` surfaces `Response::Error` as a client
+            // error; re-wrap it — the node answered, the transport is fine.
+            Err(timecrypt_wire::transport::ClientError::Server(msg)) => Ok(Response::Error(msg)),
+            Err(_) => Err(UNREACHABLE),
         }
     }
 
@@ -499,10 +461,8 @@ impl ShardBackend for RemoteShard {
         match self.try_stat_leg(legs, ts_s, ts_e, false) {
             Ok(out) => Ok(out),
             // The pooled connection was likely stale (node restarted
-            // underneath it) — or an old node rejected the trace envelope,
-            // which latches the legacy flag; sub-queries are idempotent, so
-            // retry the whole leg once on a freshly dialed connection
-            // (untraced, when the flag latched).
+            // underneath it); sub-queries are idempotent, so retry the
+            // whole leg once on a freshly dialed connection.
             Err(_) => self.try_stat_leg(legs, ts_s, ts_e, true),
         }
     }
@@ -532,7 +492,7 @@ impl ShardBackend for RemoteShard {
     ) -> Result<Vec<Result<(), ServerError>>, ServerError> {
         let _span = trace::stage("backend.exchange");
         let m = self.metrics.shard(self.shard);
-        let ctx = self.trace_ctx();
+        let ctx = trace_ctx();
         let t = Instant::now();
         // Frame assembly without intermediate copies: each chunk is
         // serialized once, straight into the connection's scratch buffer
@@ -561,13 +521,8 @@ impl ShardBackend for RemoteShard {
                 results
             }
             // The node answered, but not with a batch verdict: fail every
-            // chunk with the node's message (transport is still fine). An
-            // old node rejecting the trace envelope did so at decode —
-            // nothing was applied — so the whole batch retries untraced.
+            // chunk with the node's message (transport is still fine).
             Ok(Response::Error(msg)) | Err(timecrypt_wire::transport::ClientError::Server(msg)) => {
-                if ctx.is_some() && self.note_trace_reject(&msg) {
-                    return self.insert_batch(chunks);
-                }
                 chunks
                     .iter()
                     .map(|_| Err(ServerError::Remote(msg.clone())))
@@ -677,7 +632,7 @@ impl RemoteShard {
             self.pool.get()
         }
         .map_err(|_| UNREACHABLE)?;
-        let ctx = self.trace_ctx();
+        let ctx = trace_ctx();
         // The node renders a per-stream empty window as this exact string
         // (both sides run the same code); it is the one app-level "error"
         // that is *not* an error to the merge fold.
@@ -735,18 +690,7 @@ impl RemoteShard {
                     // Placeholder until the width probe resolves.
                     Ok((0, None))
                 }
-                Response::Error(msg) => {
-                    // An old node rejects every traced sub-query at decode:
-                    // latch the legacy flag and fail the attempt so the
-                    // caller's retry re-runs the whole leg untraced. The
-                    // connection still has pipelined rejections in flight —
-                    // discard it rather than resynchronize.
-                    if ctx.is_some() && self.note_trace_reject(&msg) {
-                        conn.discard();
-                        return Err(UNREACHABLE);
-                    }
-                    Err(ServerError::Remote(msg))
-                }
+                Response::Error(msg) => Err(ServerError::Remote(msg)),
                 _ => Err(ServerError::Unavailable("unexpected remote stat reply")),
             };
             out.push((pos, result));

@@ -20,8 +20,7 @@
 //!   valid one, or a record whose CRC passes but whose sequence byte
 //!   breaks the chain: bit rot or a spliced file. Recovery refuses with
 //!   [`StoreError::CorruptAt`] carrying the offset, because silently
-//!   resuming would drop every later record (the pre-CRC format treated
-//!   this exactly like a torn tail and lost history silently).
+//!   resuming would drop every later record.
 //!
 //! Durability is a three-position knob ([`Durability`]): `Buffered`
 //! (bytes may sit in the `BufWriter`), `Flush` (write(2) per op — survives
@@ -32,9 +31,9 @@
 //! share fsyncs: each waiter checks the synced watermark and only issues
 //! the syscall if its record is not already covered.
 //!
-//! Legacy logs written by the pre-CRC format (no magic) are replayed with
-//! the old parser, then rewritten in-place to the checksummed format
-//! before the store opens.
+//! A file that does not start with the magic is refused with
+//! [`StoreError::CorruptAt`] at offset 0, except a strict prefix of the
+//! magic (a crash while creating the log), which opens as an empty log.
 
 use crate::{KvStore, StoreError};
 use parking_lot::Mutex;
@@ -43,7 +42,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use timecrypt_obs::{tc_error, tc_warn};
+use timecrypt_obs::tc_warn;
 
 const OP_PUT: u8 = 0;
 const OP_DELETE: u8 = 1;
@@ -161,19 +160,20 @@ impl LogKv {
             File::open(&path)?.read_to_end(&mut buf)?;
         }
 
-        if !buf.is_empty() && !buf.starts_with(MAGIC) {
-            // Legacy pre-CRC file: replay with the old parser, then
-            // rewrite checksummed so every later open verifies.
-            let map = replay_legacy(&path, &buf)?;
-            let (writer, file, next_seq) = write_snapshot(&path, &map, durability)?;
-            return Ok(Self::assemble(
-                path, durability, map, writer, file, next_seq,
-            ));
+        let has_magic = buf.starts_with(MAGIC);
+        // A new file, or a strict prefix of the magic (its creation was
+        // torn by a crash), holds no records: it is truncated and gets a
+        // fresh magic below. Anything else without the magic is not a log.
+        if !has_magic && !MAGIC.starts_with(&buf) {
+            return Err(StoreError::CorruptAt {
+                what: "missing log magic",
+                offset: 0,
+            });
         }
 
         let mut map = BTreeMap::new();
         let mut next_seq: u8 = 0;
-        let mut valid_len = MAGIC.len().min(buf.len()) as u64;
+        let mut valid_len = if has_magic { MAGIC.len() as u64 } else { 0 };
         if buf.len() > MAGIC.len() {
             let (_records, seq, tail) = replay(&path, &buf, &mut map)?;
             next_seq = seq;
@@ -494,57 +494,6 @@ fn replay(
     Ok((records, next_seq, pos as u64))
 }
 
-/// Replays a legacy (pre-CRC, no-magic) file. Unlike the historical
-/// parser, leftover bytes that are not a clean end are *reported* with
-/// their offset instead of being silently treated as one.
-fn replay_legacy(path: &Path, buf: &[u8]) -> Result<BTreeMap<Vec<u8>, Vec<u8>>, StoreError> {
-    let mut map = BTreeMap::new();
-    let mut pos = 0usize;
-    while pos < buf.len() {
-        let Some((op, key, value, consumed)) = parse_legacy(&buf[pos..]) else {
-            tc_error!(
-                "store.log",
-                "legacy log: discarding {} unparseable byte(s) at offset {} path={}",
-                buf.len() - pos,
-                pos,
-                path.display()
-            );
-            break;
-        };
-        match op {
-            OP_PUT => {
-                map.insert(key.to_vec(), value.to_vec());
-            }
-            OP_DELETE => {
-                map.remove(key);
-            }
-            _ => {
-                return Err(StoreError::CorruptAt {
-                    what: "unknown op byte in legacy log",
-                    offset: pos as u64,
-                })
-            }
-        }
-        pos += consumed;
-    }
-    Ok(map)
-}
-
-/// Legacy record format: `op(1) | key_len(u32 le) | val_len(u32 le) | key | value`.
-fn parse_legacy(buf: &[u8]) -> Option<(u8, &[u8], &[u8], usize)> {
-    if buf.len() < 9 {
-        return None;
-    }
-    let op = buf[0];
-    let klen = u32::from_le_bytes(buf.get(1..5)?.try_into().ok()?) as usize;
-    let vlen = u32::from_le_bytes(buf.get(5..9)?.try_into().ok()?) as usize;
-    let total = 9usize.checked_add(klen)?.checked_add(vlen)?;
-    if buf.len() < total {
-        return None;
-    }
-    Some((op, &buf[9..9 + klen], &buf[9 + klen..total], total))
-}
-
 /// Writes `map` as a fresh checksummed log (magic + one put per pair) to
 /// a temp file, atomically renames it over `path`, and returns a writer
 /// positioned at the end, a second handle for fsync, and the next
@@ -737,28 +686,31 @@ mod tests {
     }
 
     #[test]
-    fn legacy_format_upgrades_on_open() {
-        let path = tmp("legacy");
-        // Hand-write two records in the pre-CRC format (no magic).
-        let mut bytes = Vec::new();
-        for (k, v) in [(&b"old1"[..], &b"val1"[..]), (&b"old2"[..], &b"val2"[..])] {
-            bytes.push(OP_PUT);
-            bytes.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(k);
-            bytes.extend_from_slice(v);
-        }
+    fn file_without_magic_is_refused_unmodified() {
+        let path = tmp("nomagic");
+        let bytes = b"\x00\x04\x00\x00\x00\x04\x00\x00\x00old1val1".to_vec();
         std::fs::write(&path, &bytes).unwrap();
+        match LogKv::open(&path) {
+            Err(StoreError::CorruptAt { offset, .. }) => assert_eq!(offset, 0),
+            other => panic!("expected CorruptAt, got {:?}", other.map(|kv| kv.len())),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "refused file changed");
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn torn_magic_opens_as_empty_log() {
+        let path = tmp("tornmagic");
+        std::fs::write(&path, b"TCL").unwrap();
         let kv = LogKv::open(&path).unwrap();
-        assert_eq!(kv.get(b"old1").unwrap(), Some(b"val1".to_vec()));
-        assert_eq!(kv.get(b"old2").unwrap(), Some(b"val2".to_vec()));
-        kv.put(b"new", b"post-upgrade").unwrap();
+        assert!(kv.is_empty());
+        kv.put(b"k", b"v").unwrap();
         drop(kv);
-        // The file is now checksummed: magic present, reopen verifies.
-        assert!(std::fs::read(&path).unwrap().starts_with(MAGIC));
         let kv = LogKv::open(&path).unwrap();
-        assert_eq!(kv.len(), 3);
-        assert_eq!(kv.get(b"new").unwrap(), Some(b"post-upgrade".to_vec()));
+        assert_eq!(kv.get(b"k").unwrap(), Some(b"v".to_vec()));
+        let bytes = std::fs::read(&path).unwrap();
+        assert!(bytes.starts_with(MAGIC));
+        assert_eq!(bytes.windows(MAGIC.len()).filter(|w| w == MAGIC).count(), 1);
         std::fs::remove_file(path).unwrap();
     }
 

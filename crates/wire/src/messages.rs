@@ -471,11 +471,8 @@ const REQ_TRACED: u8 = 25;
 pub const TRACE_PREFIX_LEN: usize = 1 + 16 + 8;
 
 /// Appends the trace-context envelope prefix to `out`; the encoded inner
-/// request must follow. Requests sent *without* a context are encoded
-/// exactly as before this envelope existed — that is the
-/// backward-compatibility story: an untraced sender interops with any
-/// peer, and a traced sender can detect a legacy peer (see
-/// [`peer_lacks_trace_support`]) and fall back to untraced encoding.
+/// request must follow. A request sent without a context carries no
+/// prefix, so untraced encoding is byte-identical to a plain request.
 pub fn encode_trace_prefix(ctx: TraceContext, out: &mut Vec<u8>) {
     let mut w = ByteWriter::with_vec(std::mem::take(out));
     w.u8(REQ_TRACED).u128(ctx.trace_id).u64(ctx.span_id);
@@ -485,7 +482,7 @@ pub fn encode_trace_prefix(ctx: TraceContext, out: &mut Vec<u8>) {
 /// Peels an optional trace-context envelope off a request body: returns
 /// the context (if the body is enveloped) and the inner request bytes.
 /// Bodies that don't start with the envelope tag pass through untouched
-/// — every pre-envelope peer's bytes take that path. Nested envelopes
+/// — every untraced request takes that path. Nested envelopes
 /// are not a thing; the inner bytes must decode as a plain request.
 pub fn split_trace(body: &[u8]) -> Result<(Option<TraceContext>, &[u8]), WireError> {
     if body.first() != Some(&REQ_TRACED) {
@@ -500,14 +497,6 @@ pub fn split_trace(body: &[u8]) -> Result<(Option<TraceContext>, &[u8]), WireErr
         span_id: r.u64()?,
     };
     Ok((Some(ctx), &body[TRACE_PREFIX_LEN..]))
-}
-
-/// Does this app-level error text mean the peer rejected the trace
-/// envelope because it predates it? A decode-level rejection happens
-/// before any dispatch — the peer applied nothing — so the sender may
-/// safely retry the same request untraced, even a mutation.
-pub fn peer_lacks_trace_support(msg: &str) -> bool {
-    msg.contains("unknown message tag 25")
 }
 
 impl Request {
@@ -691,129 +680,9 @@ impl Request {
         *out = w.into_bytes();
     }
 
-    /// Parses a request body.
+    /// Parses a request body (the borrowed decode, then copied out).
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = ByteReader::new(buf);
-        let req = match r.u8()? {
-            REQ_CREATE => Request::CreateStream {
-                stream: r.u128()?,
-                t0: r.i64()?,
-                delta_ms: r.u64()?,
-                digest_width: r.u32()?,
-            },
-            REQ_DELETE_STREAM => Request::DeleteStream { stream: r.u128()? },
-            REQ_INSERT => Request::Insert { chunk: r.bytes()? },
-            REQ_INSERT_LIVE => Request::InsertLive { record: r.bytes()? },
-            REQ_GET_LIVE => Request::GetLive {
-                stream: r.u128()?,
-                ts_s: r.i64()?,
-                ts_e: r.i64()?,
-            },
-            REQ_GET_RANGE => Request::GetRange {
-                stream: r.u128()?,
-                ts_s: r.i64()?,
-                ts_e: r.i64()?,
-            },
-            REQ_GET_STAT => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut streams = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    streams.push(r.u128()?);
-                }
-                Request::GetStatRange {
-                    streams,
-                    ts_s: r.i64()?,
-                    ts_e: r.i64()?,
-                }
-            }
-            REQ_DELETE_RANGE => Request::DeleteRange {
-                stream: r.u128()?,
-                ts_s: r.i64()?,
-                ts_e: r.i64()?,
-            },
-            REQ_ROLLUP => Request::Rollup {
-                stream: r.u128()?,
-                before_ts: r.i64()?,
-                keep_level: r.u8()?,
-            },
-            REQ_INFO => Request::StreamInfo { stream: r.u128()? },
-            REQ_PUT_GRANT => Request::PutGrant {
-                stream: r.u128()?,
-                principal: r.string()?,
-                blob: r.bytes()?,
-            },
-            REQ_GET_GRANTS => Request::GetGrants {
-                stream: r.u128()?,
-                principal: r.string()?,
-            },
-            REQ_REVOKE => Request::RevokeGrants {
-                stream: r.u128()?,
-                principal: r.string()?,
-            },
-            REQ_PUT_ENV => {
-                let stream = r.u128()?;
-                let resolution = r.u64()?;
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut envelopes = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let i = r.u64()?;
-                    envelopes.push((i, r.bytes()?));
-                }
-                Request::PutEnvelopes {
-                    stream,
-                    resolution,
-                    envelopes,
-                }
-            }
-            REQ_GET_ENV => Request::GetEnvelopes {
-                stream: r.u128()?,
-                resolution: r.u64()?,
-                lo: r.u64()?,
-                hi: r.u64()?,
-            },
-            REQ_PUT_ATT => Request::PutAttestation {
-                stream: r.u128()?,
-                attestation: r.bytes()?,
-            },
-            REQ_GET_ATT => Request::GetAttestation { stream: r.u128()? },
-            REQ_GET_PROOF => Request::GetRangeProof {
-                stream: r.u128()?,
-                ts_s: r.i64()?,
-                ts_e: r.i64()?,
-            },
-            REQ_GET_VRANGE => Request::GetVerifiedRange {
-                stream: r.u128()?,
-                ts_s: r.i64()?,
-                ts_e: r.i64()?,
-            },
-            REQ_INSERT_BATCH => {
-                let n = r.u32()? as usize;
-                if n > MAX_REPEATED {
-                    return Err(WireError::TooLarge(n));
-                }
-                let mut chunks = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    chunks.push(r.bytes()?);
-                }
-                Request::InsertBatch { chunks }
-            }
-            REQ_STATS => Request::Stats,
-            REQ_LIST_STREAMS => Request::ListStreams { shard: r.u32()? },
-            REQ_EXPORT_STREAM => Request::ExportStream {
-                stream: r.u128()?,
-                from_idx: r.u64()?,
-            },
-            REQ_PING => Request::Ping,
-            t => return Err(WireError::BadTag(t)),
-        };
-        r.finish()?;
-        Ok(req)
+        RequestRef::decode(buf).map(RequestRef::to_owned)
     }
 }
 
@@ -1101,10 +970,8 @@ impl Response {
 /// A zero-copy decode of a [`Request`]: the bulk-payload-carrying ingest
 /// variants borrow their byte fields straight from the frame buffer; every
 /// other variant decodes to its owned form (their fields are a few dozen
-/// bytes — borrowing them buys nothing). `decode` + [`to_owned`]
-/// is equivalent to [`Request::decode`] for every variant (pinned by the
-/// wire property tests), so handlers can opt into the borrowed path for
-/// exactly the requests where it pays.
+/// bytes — borrowing them buys nothing). This is the one request parser:
+/// [`Request::decode`] is `decode` followed by [`to_owned`].
 ///
 /// [`to_owned`]: RequestRef::to_owned
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1150,9 +1017,7 @@ impl<'a> RequestRef<'a> {
                 }
                 RequestRef::InsertBatch { chunks }
             }
-            // Every other variant has no bulk payload: reuse the owned
-            // decoder so the two paths cannot drift.
-            _ => return Request::decode(buf).map(RequestRef::Other),
+            tag => RequestRef::Other(decode_plain(tag, &mut r)?),
         };
         r.finish()?;
         Ok(req)
@@ -1175,103 +1040,115 @@ impl<'a> RequestRef<'a> {
     }
 }
 
-/// A zero-copy decode of a [`Response`]: the chunk/record/blob-carrying
-/// variants borrow their payloads from the frame buffer, everything else
-/// decodes owned. `decode` + [`to_owned`](ResponseRef::to_owned) is
-/// equivalent to [`Response::decode`] for every variant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResponseRef<'a> {
-    /// [`Response::Chunks`] with every chunk borrowed.
-    Chunks(Vec<&'a [u8]>),
-    /// [`Response::Records`] with every record borrowed.
-    Records(Vec<&'a [u8]>),
-    /// [`Response::Blobs`] with every blob borrowed.
-    Blobs(Vec<&'a [u8]>),
-    /// [`Response::VerifiedChunks`] with proof material and chunks borrowed.
-    VerifiedChunks {
-        /// `RootAttestation::encode()` bytes.
-        attestation: &'a [u8],
-        /// Open `RangeProof::encode()` bytes.
-        proof: &'a [u8],
-        /// The chunk bytes, in chunk order.
-        chunks: Vec<&'a [u8]>,
-    },
-    /// [`Response::StreamChunks`] with every chunk borrowed.
-    StreamChunks {
-        /// The page's chunk bytes, in index order.
-        chunks: Vec<&'a [u8]>,
-        /// Index to request the next page from.
-        next_idx: u64,
-        /// No further chunks are exportable.
-        done: bool,
-    },
-    /// Any other response, decoded owned.
-    Other(Response),
-}
-
-impl<'a> ResponseRef<'a> {
-    /// Parses a response body without copying bulk payloads.
-    pub fn decode(buf: &'a [u8]) -> Result<Self, WireError> {
-        let mut r = ByteReader::new(buf);
-        let read_list = |r: &mut ByteReader<'a>| -> Result<Vec<&'a [u8]>, WireError> {
+/// Parses the fields of a request without a bulk payload, after its
+/// tag: every variant except the ingest ones, which [`RequestRef::decode`]
+/// parses borrowed.
+fn decode_plain(tag: u8, r: &mut ByteReader) -> Result<Request, WireError> {
+    Ok(match tag {
+        REQ_CREATE => Request::CreateStream {
+            stream: r.u128()?,
+            t0: r.i64()?,
+            delta_ms: r.u64()?,
+            digest_width: r.u32()?,
+        },
+        REQ_DELETE_STREAM => Request::DeleteStream { stream: r.u128()? },
+        REQ_GET_LIVE => Request::GetLive {
+            stream: r.u128()?,
+            ts_s: r.i64()?,
+            ts_e: r.i64()?,
+        },
+        REQ_GET_RANGE => Request::GetRange {
+            stream: r.u128()?,
+            ts_s: r.i64()?,
+            ts_e: r.i64()?,
+        },
+        REQ_GET_STAT => {
             let n = r.u32()? as usize;
             if n > MAX_REPEATED {
                 return Err(WireError::TooLarge(n));
             }
-            let mut items = Vec::with_capacity(n.min(1024));
+            let mut streams = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                items.push(r.bytes_borrowed()?);
+                streams.push(r.u128()?);
             }
-            Ok(items)
-        };
-        let resp = match r.u8()? {
-            RESP_CHUNKS => ResponseRef::Chunks(read_list(&mut r)?),
-            RESP_RECORDS => ResponseRef::Records(read_list(&mut r)?),
-            RESP_BLOBS => ResponseRef::Blobs(read_list(&mut r)?),
-            RESP_VCHUNKS => ResponseRef::VerifiedChunks {
-                attestation: r.bytes_borrowed()?,
-                proof: r.bytes_borrowed()?,
-                chunks: read_list(&mut r)?,
-            },
-            RESP_STREAM_CHUNKS => ResponseRef::StreamChunks {
-                chunks: read_list(&mut r)?,
-                next_idx: r.u64()?,
-                done: r.u8()? != 0,
-            },
-            _ => return Response::decode(buf).map(ResponseRef::Other),
-        };
-        r.finish()?;
-        Ok(resp)
-    }
-
-    /// Copies the borrows into an owned [`Response`].
-    pub fn to_owned(self) -> Response {
-        let own = |items: Vec<&[u8]>| items.into_iter().map(<[u8]>::to_vec).collect();
-        match self {
-            ResponseRef::Chunks(c) => Response::Chunks(own(c)),
-            ResponseRef::Records(c) => Response::Records(own(c)),
-            ResponseRef::Blobs(c) => Response::Blobs(own(c)),
-            ResponseRef::VerifiedChunks {
-                attestation,
-                proof,
-                chunks,
-            } => Response::VerifiedChunks {
-                attestation: attestation.to_vec(),
-                proof: proof.to_vec(),
-                chunks: own(chunks),
-            },
-            ResponseRef::StreamChunks {
-                chunks,
-                next_idx,
-                done,
-            } => Response::StreamChunks {
-                chunks: own(chunks),
-                next_idx,
-                done,
-            },
-            ResponseRef::Other(resp) => resp,
+            Request::GetStatRange {
+                streams,
+                ts_s: r.i64()?,
+                ts_e: r.i64()?,
+            }
         }
-    }
+        REQ_DELETE_RANGE => Request::DeleteRange {
+            stream: r.u128()?,
+            ts_s: r.i64()?,
+            ts_e: r.i64()?,
+        },
+        REQ_ROLLUP => Request::Rollup {
+            stream: r.u128()?,
+            before_ts: r.i64()?,
+            keep_level: r.u8()?,
+        },
+        REQ_INFO => Request::StreamInfo { stream: r.u128()? },
+        REQ_PUT_GRANT => Request::PutGrant {
+            stream: r.u128()?,
+            principal: r.string()?,
+            blob: r.bytes()?,
+        },
+        REQ_GET_GRANTS => Request::GetGrants {
+            stream: r.u128()?,
+            principal: r.string()?,
+        },
+        REQ_REVOKE => Request::RevokeGrants {
+            stream: r.u128()?,
+            principal: r.string()?,
+        },
+        REQ_PUT_ENV => {
+            let stream = r.u128()?;
+            let resolution = r.u64()?;
+            let n = r.u32()? as usize;
+            if n > MAX_REPEATED {
+                return Err(WireError::TooLarge(n));
+            }
+            let mut envelopes = Vec::with_capacity(n.min(1024));
+            for _ in 0..n {
+                let i = r.u64()?;
+                envelopes.push((i, r.bytes()?));
+            }
+            Request::PutEnvelopes {
+                stream,
+                resolution,
+                envelopes,
+            }
+        }
+        REQ_GET_ENV => Request::GetEnvelopes {
+            stream: r.u128()?,
+            resolution: r.u64()?,
+            lo: r.u64()?,
+            hi: r.u64()?,
+        },
+        REQ_PUT_ATT => Request::PutAttestation {
+            stream: r.u128()?,
+            attestation: r.bytes()?,
+        },
+        REQ_GET_ATT => Request::GetAttestation { stream: r.u128()? },
+        REQ_GET_PROOF => Request::GetRangeProof {
+            stream: r.u128()?,
+            ts_s: r.i64()?,
+            ts_e: r.i64()?,
+        },
+        REQ_GET_VRANGE => Request::GetVerifiedRange {
+            stream: r.u128()?,
+            ts_s: r.i64()?,
+            ts_e: r.i64()?,
+        },
+        REQ_STATS => Request::Stats,
+        REQ_LIST_STREAMS => Request::ListStreams { shard: r.u32()? },
+        REQ_EXPORT_STREAM => Request::ExportStream {
+            stream: r.u128()?,
+            from_idx: r.u64()?,
+        },
+        REQ_PING => Request::Ping,
+        t => return Err(WireError::BadTag(t)),
+    })
 }
 
 /// Streaming encoder for an [`Request::InsertBatch`] body: callers append
@@ -1566,14 +1443,6 @@ mod tests {
             }
             assert_eq!(borrowed.to_owned(), req, "{req:?}");
         }
-        for resp in all_responses() {
-            let bytes = resp.encode();
-            assert_eq!(
-                ResponseRef::decode(&bytes).unwrap().to_owned(),
-                resp,
-                "{resp:?}"
-            );
-        }
     }
 
     #[test]
@@ -1594,7 +1463,7 @@ mod tests {
             let bytes = resp.encode();
             for cut in 0..bytes.len() {
                 assert!(
-                    ResponseRef::decode(&bytes[..cut]).is_err(),
+                    Response::decode(&bytes[..cut]).is_err(),
                     "{resp:?} cut {cut}"
                 );
             }
@@ -1688,10 +1557,9 @@ mod tests {
 
     #[test]
     fn untraced_encoding_is_byte_identical_to_pre_envelope_wire() {
-        // With no context attached nothing about request encoding
-        // changed: a legacy decoder accepts every new encoder's output.
-        // (The legacy decoder is `Request::decode` itself — it still
-        // rejects the envelope tag, which is what a legacy peer does.)
+        // With no context attached a request is encoded as a plain
+        // request: `Request::decode`, which does not know the envelope
+        // tag, accepts every untraced body and rejects a traced one.
         for req in all_requests() {
             assert!(Request::decode(&req.encode()).is_ok(), "{req:?}");
         }
@@ -1705,11 +1573,6 @@ mod tests {
         );
         Request::Ping.encode_into(&mut traced);
         assert_eq!(Request::decode(&traced), Err(WireError::BadTag(REQ_TRACED)));
-        // ...and that rejection is exactly what the sender-side legacy
-        // detection keys on.
-        let reply = format!("bad request: {}", WireError::BadTag(REQ_TRACED));
-        assert!(peer_lacks_trace_support(&reply));
-        assert!(!peer_lacks_trace_support("stream 7 not found"));
     }
 
     #[test]
