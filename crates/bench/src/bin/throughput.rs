@@ -44,9 +44,9 @@
 //! (default 8), `TC_BATCH` (chunks/batch, default 16), `TC_QUERIES`
 //! (default 200), `TC_STORE_LAT_US` (default 50). Mixed phase:
 //! `TC_QUERY_THREADS` (comma list, default `1,2,4,8`), `TC_MIXED_QUERIES`
-//! (default 400), `TC_READERS` (intra-shard reader pool, default 4),
-//! `TC_MIXED` (`0` skips the phase). Remote phase: `TC_REMOTE` (`0`
-//! skips), `TC_REMOTE_SHARDS` (comma list, default `1,4`).
+//! (default 400), `TC_MIXED` (`0` skips the phase). Remote phase:
+//! `TC_REMOTE` (`0` skips), `TC_REMOTE_SHARDS` (comma list, default
+//! `1,4`).
 //! Failover/rebuild phase: `TC_FAILOVER` (`0` skips). Faults phase:
 //! `TC_FAULTS` (`0` skips), `TC_FAULT_SEED` (default 7) — single-shard
 //! workload under seeded store faults (1% errors, 1% of puts stalled
@@ -325,17 +325,17 @@ struct MixedSample {
 }
 
 /// Mixed read/write on one shard: `query_threads` threads fire full-range
-/// scatter-gather queries over all streams (one shard ⇒ one leg, split
-/// across the intra-shard reader pool) while a single ingest thread
-/// appends to the hot stream 0 for the whole query phase. The query window
-/// covers only the pre-ingested prefix, so every reply is identical and
-/// checkable while ingest keeps extending the stream.
+/// scatter-gather queries over all streams (one pool task per stream)
+/// while a single ingest thread appends to the hot stream 0 for the whole
+/// query phase. Queries and the wall clock start only once the first hot
+/// chunk is in, so the measured window always overlaps ingest. The query
+/// window covers only the pre-ingested prefix, so every reply is identical
+/// and checkable while ingest keeps extending the stream.
 fn run_mixed(
     workload: &Workload,
     hot: &[EncryptedChunk],
     queries: usize,
     query_threads: usize,
-    readers: usize,
     store_latency: Duration,
 ) -> MixedSample {
     let streams = workload.per_stream.len();
@@ -349,7 +349,6 @@ fn run_mixed(
             latency_store(store_latency),
             ServiceConfig {
                 shards: 1,
-                query_readers: readers,
                 // Tiny *per-stream* index cache, smaller than one query's
                 // node working set: queries actually visit the (latency-
                 // modelled) store, which is where serialized readers used
@@ -377,11 +376,10 @@ fn run_mixed(
     let all: Vec<u128> = (0..streams as u128).collect();
     let stop = AtomicBool::new(false);
     let ingested = AtomicU64::new(0);
-    let t = Instant::now();
-    let mut ingest_wall = Duration::ZERO;
+    let mut wall = Duration::ZERO;
     let mut ingested_during_queries = 0u64;
     std::thread::scope(|scope| {
-        {
+        let ingest = {
             let svc = svc.clone();
             let (stop, ingested) = (&stop, &ingested);
             scope.spawn(move || {
@@ -392,8 +390,13 @@ fn run_mixed(
                     svc.insert(c).unwrap();
                     ingested.fetch_add(1, Ordering::Relaxed);
                 }
-            });
+            })
+        };
+        while ingested.load(Ordering::Relaxed) == 0 && !ingest.is_finished() {
+            std::thread::yield_now();
         }
+        let t = Instant::now();
+        let ingested_before = ingested.load(Ordering::Relaxed);
         let mut handles = Vec::new();
         for p in 0..query_threads {
             let svc = svc.clone();
@@ -413,19 +416,18 @@ fn run_mixed(
         for h in handles {
             h.join().unwrap();
         }
-        ingest_wall = t.elapsed();
+        wall = t.elapsed();
         // Snapshot before releasing the ingest thread: inserts completed
         // after this point must not count against the measured wall.
-        ingested_during_queries = ingested.load(Ordering::Relaxed);
+        ingested_during_queries = ingested.load(Ordering::Relaxed) - ingested_before;
         stop.store(true, Ordering::Relaxed);
     });
-    let query_wall = ingest_wall;
     MixedSample {
         query_threads,
-        query_ops_s: queries as f64 / query_wall.as_secs_f64(),
-        query_wall_ms: query_wall.as_secs_f64() * 1e3,
-        concurrent_ingest_ops_s: ingested_during_queries as f64 / ingest_wall.as_secs_f64(),
-        ingest_exhausted: ingested_during_queries >= hot.len() as u64,
+        query_ops_s: queries as f64 / wall.as_secs_f64(),
+        query_wall_ms: wall.as_secs_f64() * 1e3,
+        concurrent_ingest_ops_s: ingested_during_queries as f64 / wall.as_secs_f64(),
+        ingest_exhausted: ingested.load(Ordering::Relaxed) >= hot.len() as u64,
     }
 }
 
@@ -1051,7 +1053,6 @@ fn main() {
         .filter_map(|s| s.trim().parse().ok())
         .collect();
     let mixed_queries = env_usize("TC_MIXED_QUERIES", 400);
-    let readers = env_usize("TC_READERS", 4);
     eprintln!("sealing hot-stream ingest backlog for the mixed phase ...");
     let hot: Vec<EncryptedChunk> = {
         let cfg = StreamConfig {
@@ -1078,15 +1079,8 @@ fn main() {
     };
     for &t in &thread_sweep {
         // Warm-up, then the measured run.
-        let _ = run_mixed(
-            &workload,
-            &hot,
-            16.min(mixed_queries),
-            t,
-            readers,
-            store_latency,
-        );
-        let s = run_mixed(&workload, &hot, mixed_queries, t, readers, store_latency);
+        let _ = run_mixed(&workload, &hot, 16.min(mixed_queries), t, store_latency);
+        let s = run_mixed(&workload, &hot, mixed_queries, t, store_latency);
         if s.ingest_exhausted {
             eprintln!(
                 "warning: hot-stream backlog ran dry at {} query threads; \
@@ -1095,10 +1089,9 @@ fn main() {
             );
         }
         println!(
-            "{{\"bench\":\"mixed_rw\",\"shards\":1,\"streams\":{},\"chunks_per_stream\":{},\"readers\":{},\"query_threads\":{},\"queries\":{},\"query_ops_s\":{:.0},\"query_wall_ms\":{:.1},\"concurrent_ingest_ops_s\":{:.0},\"ingest_exhausted\":{}}}",
+            "{{\"bench\":\"mixed_rw\",\"shards\":1,\"streams\":{},\"chunks_per_stream\":{},\"query_threads\":{},\"queries\":{},\"query_ops_s\":{:.0},\"query_wall_ms\":{:.1},\"concurrent_ingest_ops_s\":{:.0},\"ingest_exhausted\":{}}}",
             streams,
             chunks,
-            readers,
             s.query_threads,
             mixed_queries,
             s.query_ops_s,

@@ -27,7 +27,6 @@
 //! `Display` is the node's message verbatim, so wire replies stay
 //! byte-identical between single-process and multi-node deployments.
 
-use crate::fanout::ReaderPool;
 use crate::metrics::{ServiceMetrics, ShardMetrics, ShardOccupancy};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -225,7 +224,6 @@ pub(crate) fn metered_stat(
 /// shared store.
 pub struct LocalShard {
     engine: Arc<TimeCryptServer>,
-    readers: Arc<ReaderPool>,
     metrics: Arc<ServiceMetrics>,
     shard: usize,
 }
@@ -233,13 +231,11 @@ pub struct LocalShard {
 impl LocalShard {
     pub(crate) fn new(
         engine: Arc<TimeCryptServer>,
-        readers: Arc<ReaderPool>,
         metrics: Arc<ServiceMetrics>,
         shard: usize,
     ) -> Self {
         LocalShard {
             engine,
-            readers,
             metrics,
             shard,
         }
@@ -252,11 +248,6 @@ impl ShardBackend for LocalShard {
         Ok(self.engine.handle(req))
     }
 
-    /// The engine's read path takes no exclusive stream lock, so the
-    /// sub-queries of a large leg are independent: the leg is sliced
-    /// across the shared reader pool (the caller keeps the first slice
-    /// inline). Small legs (or a zero-reader pool) stay sequential — no
-    /// handoff cost.
     fn stat_leg(
         &self,
         legs: &Leg,
@@ -264,53 +255,10 @@ impl ShardBackend for LocalShard {
         ts_e: i64,
     ) -> Result<Vec<(usize, StreamStatResult)>, ServerError> {
         let m = self.metrics.shard(self.shard);
-        // At most one offloaded slice per reader, and always ≥ 1 sub-query
-        // kept inline so the caller makes progress itself.
-        let offload_slices = self.readers.len().min(legs.len().saturating_sub(1));
-        if offload_slices == 0 {
-            return Ok(legs
-                .iter()
-                .map(|&(pos, sid)| (pos, metered_stat(&self.engine, m, sid, ts_s, ts_e)))
-                .collect());
-        }
-        let per = legs.len().div_ceil(offload_slices + 1);
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        let mut offloaded = 0usize;
-        // Reader threads are shared across requests: each slice carries
-        // the submitting request's trace context across the handoff.
-        let ctx = trace::current();
-        for slice in legs[per..].chunks(per) {
-            let engine = self.engine.clone();
-            let metrics = self.metrics.clone();
-            let shard = self.shard;
-            let slice: Vec<(usize, u128)> = slice.to_vec();
-            let reply = reply_tx.clone();
-            self.readers.exec(Box::new(move || {
-                let _trace = trace::set_current(ctx);
-                let m = metrics.shard(shard);
-                let out: Vec<(usize, StreamStatResult)> = slice
-                    .iter()
-                    .map(|&(pos, sid)| (pos, metered_stat(&engine, m, sid, ts_s, ts_e)))
-                    .collect();
-                // A dropped caller just means nobody wants the result.
-                let _ = reply.send(out);
-            }));
-            offloaded += 1;
-        }
-        drop(reply_tx);
-        let mut out: Vec<(usize, StreamStatResult)> = legs[..per]
+        Ok(legs
             .iter()
             .map(|&(pos, sid)| (pos, metered_stat(&self.engine, m, sid, ts_s, ts_e)))
-            .collect();
-        for _ in 0..offloaded {
-            // A closed channel means a slice was lost to a reader panic; the
-            // affected positions fall through to the caller's "query leg
-            // lost" default instead of stranding anyone. Buffered results are
-            // still delivered before `recv` reports disconnection.
-            let Ok(slice) = reply_rx.recv() else { break };
-            out.extend(slice);
-        }
-        Ok(out)
+            .collect())
     }
 
     fn create_stream(
@@ -871,6 +819,13 @@ impl ShardReplicas {
 
     fn m(&self) -> &ShardMetrics {
         self.metrics.shard(self.shard)
+    }
+
+    /// Whether the current primary runs in this process. Its sub-queries
+    /// are independent engine calls, where a remote primary pipelines a
+    /// whole leg on one connection.
+    pub(crate) fn primary_is_local(&self) -> bool {
+        self.roles.read().primary.endpoint().is_none()
     }
 
     /// A consistent snapshot of the current role assignment. Operations

@@ -25,12 +25,13 @@
 //!   [`timecrypt_server::merge_stream_stats`], the same fold the
 //!   single-engine path uses. Replies are byte-identical to a
 //!   single-engine deployment on the same workload.
-//! * **Intra-shard read parallelism** — the engine's read path takes no
-//!   exclusive stream lock (queries run against a published chunk-count
-//!   snapshot), so sub-queries of one large leg are split across a shared
-//!   reader pool ([`ServiceConfig::query_readers`]), and any number of
-//!   client threads can query a shard — even one hot stream — concurrently
-//!   with its ingest worker.
+//! * **One query pool** — the engine's read path takes no exclusive
+//!   stream lock (queries run against a published chunk-count snapshot),
+//!   so every sub-query on an in-process shard is its own task on one
+//!   shared pool, even when many land on one shard; a remote shard's
+//!   sub-queries form one task that pipelines on one connection. Any
+//!   number of client threads can query a shard — even one hot stream —
+//!   concurrently with its ingest worker.
 //! * **Multi-node shard placement** ([`backend`], [`node`]) — the router
 //!   decides *which* shard owns a stream; a [`backend::ShardBackend`]
 //!   decides *where* that shard runs: in-process

@@ -1,10 +1,10 @@
 //! The sharded service: router + shard backends + ingest workers + metrics.
 
 use crate::backend::{
-    clone_unavailable, BackendSpec, LocalShard, RemoteShard, ShardBackend, ShardReplicas,
+    clone_unavailable, BackendSpec, Leg, LocalShard, RemoteShard, ShardBackend, ShardReplicas,
     ShardSpec, StreamStatResult,
 };
-use crate::fanout::{ReaderPool, ShardPool};
+use crate::fanout::QueryPool;
 use crate::ingest::{IngestWorker, Job};
 use crate::metrics::ServiceMetrics;
 use crate::router::ShardRouter;
@@ -35,12 +35,6 @@ pub struct ServiceConfig {
     pub pool: PoolConfig,
     /// Bounded ingest-queue depth per shard (backpressure threshold).
     pub queue_depth: usize,
-    /// Intra-shard reader threads (shared across shards) used to split the
-    /// sub-queries of one large scatter-gather leg on a *local* shard. The
-    /// engine's lock-free read path makes those sub-queries independent
-    /// even on a single hot stream's shard. `0` disables intra-leg
-    /// parallelism. (Remote legs pipeline instead of splitting.)
-    pub query_readers: usize,
     /// Consecutive primary transport failures after which a replicated
     /// shard's in-sync backup is automatically *promoted* to primary
     /// (reads and writes flip to it; the shard then runs un-replicated
@@ -77,7 +71,6 @@ impl Default for ServiceConfig {
             topology: Vec::new(),
             pool: PoolConfig::default(),
             queue_depth: 1024,
-            query_readers: 4,
             promote_after: 3,
             query_deadline: Some(std::time::Duration::from_secs(30)),
             tracing: false,
@@ -110,7 +103,7 @@ pub struct ShardedService {
     router: ShardRouter,
     backends: Vec<Arc<ShardReplicas>>,
     workers: Vec<IngestWorker>,
-    query_pool: ShardPool,
+    query_pool: QueryPool,
     metrics: Arc<ServiceMetrics>,
     kv: Arc<MeteredKv>,
     /// Any shard (primary or backup) placed on a remote node — gates the
@@ -147,7 +140,6 @@ impl ShardedService {
         let router = ShardRouter::new(specs.len());
         let kv = Arc::new(MeteredKv::new(kv));
         let metrics = Arc::new(ServiceMetrics::new(specs.len()));
-        let readers = Arc::new(ReaderPool::new(cfg.query_readers));
         let open_backend =
             |spec: &BackendSpec, shard: usize| -> Result<Arc<dyn ShardBackend>, ServerError> {
                 match spec {
@@ -158,12 +150,7 @@ impl ShardedService {
                             cfg.engine.clone(),
                             |stream| router.shard_of(stream) == shard,
                         )?);
-                        Ok(Arc::new(LocalShard::new(
-                            engine,
-                            readers.clone(),
-                            metrics.clone(),
-                            shard,
-                        )))
+                        Ok(Arc::new(LocalShard::new(engine, metrics.clone(), shard)))
                     }
                     BackendSpec::Remote(addr) => Ok(Arc::new(RemoteShard::new(
                         addr.clone(),
@@ -200,7 +187,7 @@ impl ShardedService {
             .enumerate()
             .map(|(i, backend)| IngestWorker::spawn(i, backend.clone(), cfg.queue_depth))
             .collect();
-        let query_pool = ShardPool::new(specs.len());
+        let query_pool = QueryPool::new(specs.len());
         let has_remote = specs.iter().any(|s| {
             matches!(s.primary, BackendSpec::Remote(_))
                 || matches!(s.backup, Some(BackendSpec::Remote(_)))
@@ -371,14 +358,15 @@ impl ShardedService {
         results
     }
 
-    /// Scatter-gather statistical query: per-stream sub-queries fan out to
-    /// the owning shards in parallel (one gather thread per involved
-    /// shard). Local legs are further split across the intra-shard reader
-    /// pool ([`ServiceConfig::query_readers`]); remote legs are pipelined
-    /// on one node connection. Everything merges in request order with the
-    /// same fold as the single-engine path — so the reply is byte-identical
-    /// to [`TimeCryptServer::get_stat_range`] on the same data, wherever
-    /// the shards run.
+    /// Scatter-gather statistical query: the per-stream sub-queries run as
+    /// tasks on the shared query pool — one task per sub-query on an
+    /// in-process shard, one task per remote shard (its sub-queries are
+    /// pipelined on one node connection). The caller runs the largest
+    /// task itself. Everything merges in request order with the same fold
+    /// as the single-engine path — so the reply is byte-identical to
+    /// [`TimeCryptServer::get_stat_range`] on the same data, wherever the
+    /// shards run. A task that panics answers `Unavailable("query worker
+    /// panicked")` for its positions, whichever thread ran it.
     pub fn get_stat_range(
         &self,
         streams: &[u128],
@@ -387,8 +375,8 @@ impl ShardedService {
     ) -> Result<StatReply, ServerError> {
         let _trace = self.trace_root();
         let ctx = trace::current();
-        // The whole-query budget starts before any leg is dispatched, so
-        // the inline leg's duration counts against it too.
+        // The whole-query budget starts before any task is dispatched, so
+        // the inline task's duration counts against it too.
         let deadline = self.query_deadline.map(|d| std::time::Instant::now() + d);
         let route = trace::stage("route");
         // Partition `(position, stream)` pairs by owning shard.
@@ -396,62 +384,53 @@ impl ShardedService {
         for (pos, &sid) in streams.iter().enumerate() {
             by_shard[self.router.shard_of(sid)].push((pos, sid));
         }
-        let mut involved: Vec<usize> = (0..by_shard.len())
-            .filter(|&s| !by_shard[s].is_empty())
-            .collect();
-        // The caller runs the heaviest leg inline; the persistent per-shard
-        // workers take the rest. A single-shard query therefore never
-        // crosses a thread boundary.
-        involved.sort_by_key(|&s| by_shard[s].len());
-        let inline_shard = involved.pop();
+        let mut tasks: Vec<(usize, Vec<(usize, u128)>)> = Vec::with_capacity(streams.len());
+        for (shard, leg) in by_shard.into_iter().enumerate() {
+            if leg.is_empty() {
+                continue;
+            }
+            if self.backends[shard].primary_is_local() {
+                tasks.extend(leg.into_iter().map(|sub| (shard, vec![sub])));
+            } else {
+                tasks.push((shard, leg));
+            }
+        }
+        // The caller runs the largest task itself, so a query of one task
+        // never crosses a thread boundary.
+        let inline = (0..tasks.len())
+            .max_by_key(|&i| tasks[i].1.len())
+            .map(|i| tasks.swap_remove(i));
         drop(route);
         let mut results: Vec<Option<StreamStatResult>> = Vec::with_capacity(streams.len());
         results.resize_with(streams.len(), || None);
         let (reply_tx, reply_rx) = channel();
-        let remote_legs = involved.len();
-        for &shard in &involved {
-            let legs = std::mem::take(&mut by_shard[shard]);
+        let pooled = tasks.len();
+        for (shard, leg) in tasks {
             let backend = self.backends[shard].clone();
             let reply = reply_tx.clone();
-            self.query_pool.exec(
-                shard,
-                Box::new(move || {
-                    // Pool workers are shared across requests: restore the
-                    // submitting request's trace context for this leg.
-                    let _trace = trace::set_current(ctx);
-                    // Contain engine panics so one poisoned query cannot kill
-                    // the shard's pool worker or strand the caller.
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        backend.stat_leg(&legs, ts_s, ts_e)
-                    }))
-                    .unwrap_or_else(|_| {
-                        legs.iter()
-                            .map(|&(pos, _)| {
-                                (pos, Err(ServerError::Unavailable("query worker panicked")))
-                            })
-                            .collect()
-                    });
-                    // A dropped caller just means nobody wants the result.
-                    let _ = reply.send(out);
-                }),
-            );
+            self.query_pool.exec(Box::new(move || {
+                // Pool threads are shared across requests: restore the
+                // submitting request's trace context for this task.
+                let _trace = trace::set_current(ctx);
+                // A dropped caller just means nobody wants the result.
+                let _ = reply.send(contained_stat_leg(&backend, &leg, ts_s, ts_e));
+            }));
         }
         drop(reply_tx);
-        if let Some(shard) = inline_shard {
-            let legs = std::mem::take(&mut by_shard[shard]);
-            for (pos, r) in self.backends[shard].stat_leg(&legs, ts_s, ts_e) {
+        if let Some((shard, leg)) = inline {
+            for (pos, r) in contained_stat_leg(&self.backends[shard], &leg, ts_s, ts_e) {
                 results[pos] = Some(r);
             }
         }
         let mut deadline_hit = false;
-        for _ in 0..remote_legs {
-            // A closed channel means a leg was lost (worker torn down
+        for _ in 0..pooled {
+            // A closed channel means a task was lost (pool torn down
             // mid-query); the affected positions fall through to the
             // Unavailable default below rather than stranding the caller.
-            // The deadline is the end-to-end backstop: a leg whose socket
-            // timeouts somehow never fire (many pipelined sub-queries,
-            // each individually under the per-op budget) must not stall
-            // the caller past the whole-query budget.
+            // The deadline is the end-to-end backstop: a remote task whose
+            // socket timeouts somehow never fire (many pipelined
+            // sub-queries, each individually under the per-op budget) must
+            // not stall the caller past the whole-query budget.
             let leg = match deadline {
                 None => match reply_rx.recv() {
                     Ok(leg) => leg,
@@ -604,6 +583,26 @@ impl ShardedService {
         errors.sort_by_key(|&(i, _)| i);
         Response::Batch { errors }
     }
+}
+
+/// Runs one task's sub-queries with `backend`'s failover semantics,
+/// containing engine panics: a poisoned query answers per-position
+/// `Unavailable("query worker panicked")` instead of killing a pool thread
+/// or unwinding into the caller's connection thread.
+fn contained_stat_leg(
+    backend: &ShardReplicas,
+    leg: &Leg,
+    ts_s: i64,
+    ts_e: i64,
+) -> Vec<(usize, StreamStatResult)> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        backend.stat_leg(leg, ts_s, ts_e)
+    }))
+    .unwrap_or_else(|_| {
+        leg.iter()
+            .map(|&(pos, _)| (pos, Err(ServerError::Unavailable("query worker panicked"))))
+            .collect()
+    })
 }
 
 impl Drop for ShardedService {
@@ -918,42 +917,145 @@ mod tests {
         assert_eq!(total, 9, "5 + 2 + 2 sub-queries");
     }
 
-    #[test]
-    fn reader_pool_split_leg_matches_single_engine_reply() {
-        // Many streams on few shards with a multi-reader pool: the split
-        // leg must still produce a reply byte-identical to one engine
-        // walking the same store sequentially.
-        let kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
-        let svc = ShardedService::open(
-            kv.clone(),
-            ServiceConfig {
-                shards: 2,
-                query_readers: 3,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let ids: Vec<u128> = (1..=12).collect();
-        for &id in &ids {
+    /// Creates `ids` on `svc` and ingests two chunks into each.
+    fn ingest_two_chunks(svc: &ShardedService, ids: &[u128]) {
+        for &id in ids {
             svc.create_stream(id, 0, 10_000, 2).unwrap();
             let results = svc.submit_batch(vec![
                 sealed_chunk(id, 0, id as i64),
                 sealed_chunk(id, 1, 2 * id as i64),
             ]);
-            assert!(results.iter().all(|r| r.is_ok()));
+            assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
         }
-        let sharded = svc.get_stat_range(&ids, 0, 20_000).unwrap();
-        let single =
-            timecrypt_server::TimeCryptServer::open(kv, timecrypt_server::ServerConfig::default())
-                .unwrap()
-                .get_stat_range(&ids, 0, 20_000)
-                .unwrap();
-        assert_eq!(sharded, single);
-        // Error semantics survive the split too: first bad stream aborts.
-        assert!(matches!(
-            svc.get_stat_range(&[1, 2, 3, 4, 5, 6, 7, 77], 0, 20_000),
-            Err(ServerError::NoSuchStream(77))
+    }
+
+    /// The reply of one engine holding the chunks [`ingest_two_chunks`]
+    /// writes (sealing is deterministic, so the bytes are the same).
+    fn single_engine_reply(ids: &[u128]) -> StatReply {
+        let engine =
+            TimeCryptServer::open(Arc::new(MemKv::new()), ServerConfig::default()).unwrap();
+        for &id in ids {
+            engine.create_stream(id, 0, 10_000, 2).unwrap();
+            engine.insert(&sealed_chunk(id, 0, id as i64)).unwrap();
+            engine.insert(&sealed_chunk(id, 1, 2 * id as i64)).unwrap();
+        }
+        engine.get_stat_range(ids, 0, 20_000).unwrap()
+    }
+
+    #[test]
+    fn fan_out_matches_single_engine_reply_on_every_placement() {
+        // Many streams per shard: each in-process sub-query is its own pool
+        // task and a remote shard's leg is one pipelined task. Wherever the
+        // shards run, the reply must be byte-identical to one engine
+        // walking the same chunks, and the first bad stream must decide
+        // the error.
+        let ids: Vec<u128> = (1..=12).collect();
+        let single = single_engine_reply(&ids);
+        let (_node, addr) = spawn_node(2, vec![1]);
+        let mut placements: Vec<(String, ServiceConfig)> = (1..=3)
+            .map(|shards| {
+                let cfg = ServiceConfig {
+                    shards,
+                    ..ServiceConfig::default()
+                };
+                (format!("{shards} local shards"), cfg)
+            })
+            .collect();
+        placements.push((
+            "[local, remote]".to_string(),
+            ServiceConfig {
+                topology: vec![ShardSpec::local(), ShardSpec::remote(addr)],
+                ..ServiceConfig::default()
+            },
         ));
+        for (name, cfg) in placements {
+            let svc = ShardedService::open(Arc::new(MemKv::new()), cfg).unwrap();
+            ingest_two_chunks(&svc, &ids);
+            assert_eq!(
+                svc.get_stat_range(&ids, 0, 20_000).unwrap(),
+                single,
+                "{name}"
+            );
+            // A remote shard renders the node's message, so compare what
+            // the wire carries.
+            let err = svc
+                .get_stat_range(&[1, 2, 3, 4, 5, 6, 7, 77], 0, 20_000)
+                .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                ServerError::NoSuchStream(77).to_string(),
+                "{name}"
+            );
+        }
+    }
+
+    /// A store whose `get` panics while armed.
+    #[derive(Default)]
+    struct PanickingKv {
+        inner: MemKv,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl KvStore for PanickingKv {
+        fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, timecrypt_store::StoreError> {
+            assert!(
+                !self.armed.load(std::sync::atomic::Ordering::Relaxed),
+                "injected store panic"
+            );
+            self.inner.get(key)
+        }
+        fn put(&self, key: &[u8], value: &[u8]) -> Result<(), timecrypt_store::StoreError> {
+            self.inner.put(key, value)
+        }
+        fn delete(&self, key: &[u8]) -> Result<(), timecrypt_store::StoreError> {
+            self.inner.delete(key)
+        }
+        fn scan_prefix(
+            &self,
+            prefix: &[u8],
+        ) -> Result<timecrypt_store::KvPairs, timecrypt_store::StoreError> {
+            self.inner.scan_prefix(prefix)
+        }
+    }
+
+    #[test]
+    fn query_panics_are_contained_on_every_placement() {
+        // The caller's inline task and the pooled tasks must answer a panic
+        // the same way, so the reply cannot depend on how many shards the
+        // streams spread over — and a panic must never unwind into the
+        // caller's (connection) thread.
+        let ids: Vec<u128> = (1..=6).collect();
+        let single = single_engine_reply(&ids);
+        for shards in 1..=3 {
+            let kv = Arc::new(PanickingKv::default());
+            let cfg = ServiceConfig {
+                shards,
+                ..ServiceConfig::default()
+            };
+            ingest_two_chunks(
+                &ShardedService::open(kv.clone(), cfg.clone()).unwrap(),
+                &ids,
+            );
+            // Reopened, every stream is cold: the first query of each
+            // hydrates it from the store. (A warm stream would not reach
+            // the store — the index cache keeps at least one node per
+            // lock stripe, however small its byte budget.)
+            let svc = ShardedService::open(kv.clone(), cfg).unwrap();
+            kv.armed.store(true, std::sync::atomic::Ordering::Relaxed);
+            let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                svc.get_stat_range(&ids, 0, 20_000)
+            }))
+            .unwrap_or_else(|_| panic!("{shards} shards: the query panic unwound"));
+            assert!(
+                matches!(
+                    reply,
+                    Err(ServerError::Unavailable("query worker panicked"))
+                ),
+                "{shards} shards: {reply:?}"
+            );
+            kv.armed.store(false, std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(svc.get_stat_range(&ids, 0, 20_000).unwrap(), single);
+        }
     }
 
     #[test]

@@ -7,6 +7,9 @@ use std::io::{self, Read, Write};
 /// untrusted length prefixes and comfortably fits the largest chunk batches.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
+/// Body capacity [`read_frame`] reserves before any body bytes arrive.
+const INITIAL_BODY_CAPACITY: usize = 64 * 1024;
+
 /// Errors while reading a frame.
 #[derive(Debug)]
 pub enum FrameError {
@@ -91,8 +94,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    // Grow with the bytes that actually arrive: a forged prefix alone must
+    // not make the reader commit `MAX_FRAME` bytes of memory.
+    let mut body = Vec::with_capacity(len.min(INITIAL_BODY_CAPACITY));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into()));
+    }
     Ok(body)
 }
 
@@ -136,6 +144,39 @@ mod tests {
     fn torn_prefix_is_io_error_not_closed() {
         let mut cur = Cursor::new(vec![1u8, 0]); // 2 of 4 length bytes
         assert!(matches!(read_frame(&mut cur), Err(FrameError::Io(_))));
+    }
+
+    /// A peer that sends `prefix` and then EOF, recording the largest
+    /// buffer the reader hands it.
+    struct RecordingPeer {
+        data: Cursor<Vec<u8>>,
+        largest_buf: usize,
+    }
+
+    impl Read for RecordingPeer {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_buf = self.largest_buf.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn forged_prefix_does_not_allocate_the_claimed_length() {
+        let mut bytes = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[7u8; 10]);
+        let mut peer = RecordingPeer {
+            data: Cursor::new(bytes),
+            largest_buf: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut peer),
+            Err(FrameError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof
+        ));
+        assert!(
+            peer.largest_buf <= INITIAL_BODY_CAPACITY,
+            "reader asked for a {}-byte buffer",
+            peer.largest_buf
+        );
     }
 
     #[test]
