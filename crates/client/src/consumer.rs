@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use timecrypt_baselines::ecies::EciesKeypair;
 use timecrypt_chunk::serialize::{EncryptedChunk, SealedRecord};
 use timecrypt_chunk::{DataPoint, StatSummary};
-use timecrypt_core::heac::{decrypt_range_sum, KeySource};
+use timecrypt_core::heac::{decrypt_range_sum_in_place, KeySource};
 use timecrypt_core::resolution::{Envelope, ResolutionConsumer};
 use timecrypt_core::{CoreError, TokenSet};
 use timecrypt_crypto::Seed128;
@@ -181,7 +181,8 @@ impl Consumer {
             .get(&stream)
             .ok_or(ClientFault::Protocol("synced grants"))?;
         let (_, lo, hi) = reply.parts[0];
-        let plain = decrypt_range_sum(&CombinedKeys(keys), lo, hi, &reply.agg)?;
+        let mut plain = reply.agg;
+        decrypt_range_sum_in_place(&CombinedKeys(keys), lo, hi, &mut plain)?;
         Ok(keys.descriptor.schema.interpret(&plain))
     }
 
@@ -204,15 +205,15 @@ impl Consumer {
             Response::Stat(s) => s,
             _ => return Err(ClientFault::Protocol("Stat")),
         };
-        let mut agg = reply.agg.clone();
+        let mut agg = reply.agg;
         let mut schema = None;
         for &(sid, lo, hi) in &reply.parts {
             let keys = self
                 .streams
                 .get(&sid)
                 .ok_or(ClientFault::Protocol("synced grants"))?;
-            agg = decrypt_range_sum(&CombinedKeys(keys), lo, hi, &agg)?;
-            schema.get_or_insert_with(|| keys.descriptor.schema.clone());
+            decrypt_range_sum_in_place(&CombinedKeys(keys), lo, hi, &mut agg)?;
+            schema.get_or_insert(&keys.descriptor.schema);
         }
         let schema = schema.ok_or(ClientFault::Protocol("non-empty streams"))?;
         Ok(schema.interpret(&agg))
@@ -281,7 +282,8 @@ impl Consumer {
             .streams
             .get(&stream)
             .ok_or(ClientFault::Protocol("synced grants"))?;
-        let plain = decrypt_range_sum(&CombinedKeys(keys), lo, hi, &agg)?;
+        let mut plain = agg;
+        decrypt_range_sum_in_place(&CombinedKeys(keys), lo, hi, &mut plain)?;
         Ok(keys.descriptor.schema.interpret(&plain))
     }
 

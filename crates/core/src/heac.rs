@@ -166,19 +166,30 @@ pub fn decrypt_range_sum<K: KeySource>(
     b: u64,
     agg: &[Ciphertext],
 ) -> Result<Vec<u64>, CoreError> {
+    let mut plain = agg.to_vec();
+    decrypt_range_sum_in_place(keys, a, b, &mut plain)?;
+    Ok(plain)
+}
+
+/// [`decrypt_range_sum`] over `agg` in place. Applied once per stream to
+/// a multi-stream aggregate, it peels each stream's boundary keys in turn
+/// without allocating. On error `agg` is left untouched.
+pub fn decrypt_range_sum_in_place<K: KeySource>(
+    keys: &K,
+    a: u64,
+    b: u64,
+    agg: &mut [Ciphertext],
+) -> Result<(), CoreError> {
     if a >= b {
         return Err(CoreError::InvalidParams("empty decryption range"));
     }
     let k_a = ElementKeys::new(&keys.leaf(a)?);
     let k_b = ElementKeys::new(&keys.leaf(b)?);
-    Ok(agg
-        .iter()
-        .enumerate()
-        .map(|(j, &c)| {
-            let j = j as u32;
-            c.wrapping_sub(k_a.key(j)).wrapping_add(k_b.key(j))
-        })
-        .collect())
+    for (j, c) in agg.iter_mut().enumerate() {
+        let j = j as u32;
+        *c = c.wrapping_sub(k_a.key(j)).wrapping_add(k_b.key(j));
+    }
+    Ok(())
 }
 
 /// Server-side homomorphic addition: element-wise wrapping add. This is the

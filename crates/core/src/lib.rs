@@ -35,7 +35,10 @@ pub mod resolution;
 
 pub use dualkr::{DualKeyRegression, KrState, KrToken};
 pub use error::CoreError;
-pub use heac::{decrypt_range_sum, Ciphertext, ElementKeys, HeacEncryptor, KeySource};
+pub use heac::{
+    decrypt_range_sum, decrypt_range_sum_in_place, Ciphertext, ElementKeys, HeacEncryptor,
+    KeySource,
+};
 pub use kdtree::{AccessToken, NodeLabel, TokenSet, TreeKd};
 pub use keys::StreamKeyMaterial;
 pub use resolution::{Envelope, ResolutionConsumer, ResolutionOwner};

@@ -68,18 +68,29 @@ impl<K: Eq + Hash + Copy + Ord, V> LruCache<K, V> {
 
     /// Looks up `key`, refreshing its recency.
     pub fn get(&mut self, key: &K) -> Option<&V> {
+        self.lookup(key, true)
+    }
+
+    /// Looks up `key` like [`get`](Self::get), refreshing its recency, but
+    /// leaves the hit/miss counters alone: for a caller that counts the
+    /// lookup itself once it knows whether the lookup's walk completed.
+    pub fn get_uncounted(&mut self, key: &K) -> Option<&V> {
+        self.lookup(key, false)
+    }
+
+    fn lookup(&mut self, key: &K, count: bool) -> Option<&V> {
         self.tick += 1;
         let tick = self.tick;
         match self.map.get_mut(key) {
             Some(e) => {
-                self.hits += 1;
+                self.hits += u64::from(count);
                 self.order.remove(&e.tick);
                 e.tick = tick;
                 self.order.insert(tick, *key);
                 Some(&e.value)
             }
             None => {
-                self.misses += 1;
+                self.misses += u64::from(count);
                 None
             }
         }
@@ -148,6 +159,9 @@ mod tests {
         c.put(1, "one".into(), 10);
         assert_eq!(c.get(&1), Some(&"one".to_string()));
         assert_eq!(c.stats(), (1, 1));
+        assert_eq!(c.get_uncounted(&1), Some(&"one".to_string()));
+        assert!(c.get_uncounted(&2).is_none());
+        assert_eq!(c.stats(), (1, 1), "uncounted lookups leave the counters");
     }
 
     #[test]

@@ -208,6 +208,10 @@ const CACHE_STRIPES: usize = 8;
 /// largest allocation source in the query hot loop).
 struct NodeCache<D> {
     stripes: Vec<Stripe<D>>,
+    /// Hits of completed cache-only walks. Their lookups bypass the stripe
+    /// counters until the walk is known to complete, so a walk that stops
+    /// at a miss and is retried against the store counts each lookup once.
+    probe_hits: AtomicU64,
 }
 
 /// One stripe: an independently locked LRU over `Arc`ed nodes.
@@ -222,6 +226,7 @@ impl<D: HomDigest> NodeCache<D> {
             stripes: (0..CACHE_STRIPES)
                 .map(|_| Mutex::new(LruCache::new(per_stripe)))
                 .collect(),
+            probe_hits: AtomicU64::new(0),
         }
     }
 
@@ -238,6 +243,11 @@ impl<D: HomDigest> NodeCache<D> {
         self.stripe(key).lock().get(key).cloned()
     }
 
+    /// A lookup for a cache-only walk: refreshes recency, counts nothing.
+    fn probe(&self, key: &(u8, u64)) -> Option<Arc<Node<D>>> {
+        self.stripe(key).lock().get_uncounted(key).cloned()
+    }
+
     fn put(&self, key: (u8, u64), node: Arc<Node<D>>, weight: usize) {
         self.stripe(&key).lock().put(key, node, weight);
     }
@@ -248,11 +258,22 @@ impl<D: HomDigest> NodeCache<D> {
 
     /// Aggregate (hits, misses) across stripes.
     fn stats(&self) -> (u64, u64) {
-        self.stripes.iter().fold((0, 0), |(h, m), s| {
+        let probed = self.probe_hits.load(Ordering::Relaxed);
+        self.stripes.iter().fold((probed, 0), |(h, m), s| {
             let (sh, sm) = s.lock().stats();
             (h + sh, m + sm)
         })
     }
+}
+
+/// One query walk's running state.
+struct Walk<D> {
+    /// The homomorphic sum of the entries covered so far.
+    acc: Option<D>,
+    /// Resolve nodes from the cache alone (see [`AggTree::query_cached`]).
+    cache_only: bool,
+    /// Nodes a cache-only walk found cached, counted once it completes.
+    hits: u64,
 }
 
 /// RAII end-bump for `cache_gen`: makes the odd→even transition
@@ -476,6 +497,32 @@ impl<D: HomDigest> AggTree<D> {
     /// the end edge), one node load per level each, so it touches
     /// O(k · log_k n) digests and at most 2 · log_k n nodes.
     pub fn query(&self, start: u64, end: u64) -> Result<D, IndexError> {
+        // A store walk never stops early: `None` cannot come back here.
+        self.walk(start, end, false)?.ok_or(IndexError::BadRange {
+            start,
+            end,
+            len: self.len(),
+        })
+    }
+
+    /// [`query`](Self::query) answered from the node cache alone: the same
+    /// walk, but it stops with `Ok(None)` ("would block") at the first node
+    /// the cache does not hold — a node `query` would read from the store,
+    /// or one `decay` deleted, which `query` then reports. It never reads
+    /// the store, so a caller can try it on a latency-sensitive thread and
+    /// hand only the misses to a thread that may block.
+    ///
+    /// Counting: a walk that completes counts its lookups as cache hits; a
+    /// walk that stops counts nothing, so the store walk that follows it
+    /// counts each lookup (and the miss) exactly once.
+    pub fn query_cached(&self, start: u64, end: u64) -> Result<Option<D>, IndexError> {
+        self.walk(start, end, true)
+    }
+
+    /// The shared body of [`query`](Self::query) and
+    /// [`query_cached`](Self::query_cached): `Ok(None)` only when a
+    /// cache-only walk stopped at a miss.
+    fn walk(&self, start: u64, end: u64, cache_only: bool) -> Result<Option<D>, IndexError> {
         let _span = timecrypt_obs::trace::stage("index.walk");
         let len = self.len();
         if start >= end || end > len {
@@ -487,31 +534,54 @@ impl<D: HomDigest> AggTree<D> {
         while span_at(level, k) < end {
             level += 1;
         }
-        let mut acc: Option<D> = None;
-        self.query_node(level, 0, start, end, &mut acc)?;
-        acc.ok_or(IndexError::BadRange { start, end, len })
+        let mut walk = Walk {
+            acc: None,
+            cache_only,
+            hits: 0,
+        };
+        if !self.query_node(level, 0, start, end, &mut walk)? {
+            return Ok(None);
+        }
+        if walk.hits > 0 {
+            self.cache
+                .probe_hits
+                .fetch_add(walk.hits, Ordering::Relaxed);
+        }
+        walk.acc
+            .ok_or(IndexError::BadRange { start, end, len })
+            .map(Some)
     }
 
     /// Recursive combine: add fully-covered entries of `(level, index)`;
     /// recurse into the (at most two) partially-covered children, start
-    /// edge first.
+    /// edge first. Returns `false` when a cache-only walk stopped at a
+    /// node the cache does not hold.
     fn query_node(
         &self,
         level: u8,
         index: u64,
         start: u64,
         end: u64,
-        acc: &mut Option<D>,
-    ) -> Result<(), IndexError> {
+        walk: &mut Walk<D>,
+    ) -> Result<bool, IndexError> {
         let k = self.cfg.arity as u64;
         let child_span = span_at(level - 1, k);
-        // A missing node on the query path means the region was aged out
-        // by `decay` (the only code path that deletes nodes): report that
-        // distinctly from unparseable bytes, which `load` maps to
-        // `CorruptNode`.
-        let node = self
-            .load_node(level, index)?
-            .ok_or(IndexError::Decayed { level, index })?;
+        let node = if walk.cache_only {
+            match self.cache.probe(&(level, index)) {
+                Some(node) => {
+                    walk.hits += 1;
+                    node
+                }
+                None => return Ok(false),
+            }
+        } else {
+            // A missing node on the query path means the region was aged
+            // out by `decay` (the only code path that deletes nodes):
+            // report that distinctly from unparseable bytes, which `load`
+            // maps to `CorruptNode`.
+            self.load_node(level, index)?
+                .ok_or(IndexError::Decayed { level, index })?
+        };
         let base = index * span_at(level, k);
         // At most two children partially overlap a contiguous range: the
         // slot containing `start` and the slot containing `end`.
@@ -523,9 +593,9 @@ impl<D: HomDigest> AggTree<D> {
                 continue;
             }
             if start <= c_lo && c_hi <= end {
-                match acc {
+                match &mut walk.acc {
                     Some(a) => a.add_assign(entry),
-                    None => *acc = Some(entry.clone()),
+                    None => walk.acc = Some(entry.clone()),
                 }
             } else {
                 // Partial overlap: drill down. At level 1 children are
@@ -541,9 +611,11 @@ impl<D: HomDigest> AggTree<D> {
             }
         }
         for child in partial.into_iter().flatten() {
-            self.query_node(level - 1, child, start, end, acc)?;
+            if !self.query_node(level - 1, child, start, end, walk)? {
+                return Ok(false);
+            }
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Data decay (§4.5): drops all *fully covered* index nodes at levels

@@ -2,9 +2,33 @@
 //! for every arity, length, and query range.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use timecrypt_index::{AggTree, HomDigest, TreeConfig};
-use timecrypt_store::MemKv;
+use timecrypt_store::{KvPairs, KvStore, MemKv, StoreError};
+
+/// A store double that counts reads.
+#[derive(Default)]
+struct CountingKv {
+    inner: MemKv,
+    gets: AtomicU64,
+}
+
+impl KvStore for CountingKv {
+    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        self.gets.fetch_add(1, Ordering::Relaxed);
+        self.inner.get(key)
+    }
+    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        self.inner.put(key, value)
+    }
+    fn delete(&self, key: &[u8]) -> Result<(), StoreError> {
+        self.inner.delete(key)
+    }
+    fn scan_prefix(&self, prefix: &[u8]) -> Result<KvPairs, StoreError> {
+        self.inner.scan_prefix(prefix)
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -149,5 +173,77 @@ proptest! {
         prop_assert_eq!(tree.len(), values.len() as u64);
         let expect = values.iter().fold(0u64, |x, &y| x.wrapping_add(y));
         prop_assert_eq!(tree.query(0, values.len() as u64).unwrap(), vec![expect]);
+    }
+
+    /// The cache-only walk answers exactly what the store walk answers, or
+    /// "would block"; it never reads the store, never blocks once the
+    /// whole path is cached, and a walk that blocks counts nothing, so the
+    /// store walk after it counts each node-cache miss once. A decayed
+    /// region blocks, and the store walk then reports `Decayed`.
+    #[test]
+    fn cached_query_is_the_query_or_would_block(
+        arity in 2usize..9,
+        values in proptest::collection::vec(any::<u64>(), 1..300),
+        cache_bytes in prop_oneof![Just(1usize), 1usize..4096, Just(usize::MAX / 2)],
+        decay in any::<bool>(),
+        decay_before in 0u64..300,
+        keep_level in 2u8..4,
+        ranges in proptest::collection::vec((0u64..310, 0u64..310), 1..12),
+    ) {
+        let kv = Arc::new(CountingKv::default());
+        let tree: AggTree<Vec<u64>> =
+            AggTree::open(kv.clone(), 1, TreeConfig { arity, cache_bytes }).unwrap();
+        for &v in &values {
+            tree.append(vec![v, 1]).unwrap();
+        }
+        if decay {
+            tree.decay(decay_before, keep_level).unwrap();
+        }
+        let fits = cache_bytes == usize::MAX / 2;
+        for (a, b) in ranges {
+            let stats = |t: &AggTree<Vec<u64>>| {
+                let s = t.stats().unwrap();
+                (s.cache_hits, s.cache_misses)
+            };
+            let (hits, misses) = stats(&tree);
+            let gets = kv.gets.load(Ordering::Relaxed);
+            let cached = tree.query_cached(a, b);
+            prop_assert_eq!(kv.gets.load(Ordering::Relaxed), gets, "cache-only walk read the store");
+            match &cached {
+                Ok(Some(_)) => prop_assert_eq!(stats(&tree).1, misses),
+                Ok(None) => prop_assert_eq!(stats(&tree), (hits, misses)),
+                Err(_) => {}
+            }
+            let after_probe = stats(&tree);
+            let stored = tree.query(a, b);
+            if let Ok(Some(_)) = cached {
+                // Same path, all cached: the store walk counts the same
+                // hits the completed probe did, and no miss.
+                let (h, m) = stats(&tree);
+                prop_assert_eq!((h - after_probe.0, m), (after_probe.0 - hits, misses));
+            }
+            match (&cached, &stored) {
+                (Ok(Some(c)), Ok(s)) => prop_assert_eq!(c, s),
+                (Ok(Some(c)), Err(e)) => prop_assert!(false, "cached {c:?}, store walk {e}"),
+                (Ok(None), _) => {}
+                (Err(c), s) => prop_assert_eq!(
+                    c.to_string(),
+                    s.as_ref().err().map(|e| e.to_string()).unwrap_or_default()
+                ),
+            }
+            if let Ok(s) = &stored {
+                // The store walk just cached its whole path.
+                if fits {
+                    let warm = tree.query_cached(a, b).unwrap();
+                    prop_assert_eq!(warm.as_ref(), Some(s), "blocked on a warm path");
+                }
+            } else if matches!(cached, Ok(None)) {
+                let e = stored.err().unwrap();
+                prop_assert!(
+                    matches!(e, timecrypt_index::IndexError::Decayed { .. }),
+                    "a valid range that blocked can only fail as decayed: {e}"
+                );
+            }
+        }
     }
 }

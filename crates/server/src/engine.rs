@@ -192,8 +192,10 @@ impl From<IndexError> for ServerError {
 }
 
 /// One stream's digest width plus, when the queried range covers at least
-/// one full chunk, the covered window and the homomorphic sum over it.
-pub type StreamStat = (u32, Option<(u64, u64, Vec<u64>)>);
+/// one full chunk, the covered window and the homomorphic sum over it
+/// (`S`: the sum, or while a cache-only walk runs, the sum if it
+/// completed).
+pub type StreamStat<S = Vec<u64>> = (u32, Option<(u64, u64, S)>);
 
 /// One chunk of an ingest run: the parsed header fields the validations
 /// need, plus the serialized bytes to store verbatim. Borrowing both keeps
@@ -602,22 +604,16 @@ impl TimeCryptServer {
     /// gate) strictly before `registry`.
     fn stream(&self, stream: u128) -> Result<Arc<StreamState>, ServerError> {
         loop {
-            // Fast path: resident hit (and the cap sweep, which is a
-            // no-op length check while the set is within bounds).
-            let gate = {
-                let mut reg = self.registry.lock();
-                if let Some(st) = reg.touch(stream) {
-                    let idle = Self::sweep(&mut reg, self.cfg.max_resident_streams);
-                    self.note_evictions(idle.len());
-                    drop(reg);
-                    drop(idle);
-                    return Ok(st);
-                }
-                if !reg.directory.contains_key(&stream) {
-                    return Err(ServerError::NoSuchStream(stream));
-                }
-                reg.hydrating.entry(stream).or_default().clone()
-            };
+            if let Some(st) = self.resident(stream)? {
+                return Ok(st);
+            }
+            let gate = self
+                .registry
+                .lock()
+                .hydrating
+                .entry(stream)
+                .or_default()
+                .clone();
             let _hydrate = gate.lock();
             // Re-check under the gate: the previous holder may have
             // hydrated (take the hit), failed (inherit winnership), or
@@ -667,6 +663,26 @@ impl TimeCryptServer {
             drop(idle);
             return Ok(st);
         }
+    }
+
+    /// The fast path of [`stream`](Self::stream): the resident handle, or
+    /// `Ok(None)` for a registered stream that is not resident. Never
+    /// hydrates. A hit refreshes recency and runs the cap sweep (a no-op
+    /// length check while the set is within bounds); evicted state
+    /// deallocates after the registry lock is released.
+    fn resident(&self, stream: u128) -> Result<Option<Arc<StreamState>>, ServerError> {
+        let mut reg = self.registry.lock();
+        if let Some(st) = reg.touch(stream) {
+            let idle = Self::sweep(&mut reg, self.cfg.max_resident_streams);
+            self.note_evictions(idle.len());
+            drop(reg);
+            drop(idle);
+            return Ok(Some(st));
+        }
+        if !reg.directory.contains_key(&stream) {
+            return Err(ServerError::NoSuchStream(stream));
+        }
+        Ok(None)
     }
 
     /// Rebuilds one stream's heavy state from the store: the tree handle
@@ -1259,12 +1275,53 @@ impl TimeCryptServer {
         ts_e: i64,
     ) -> Result<StreamStat, ServerError> {
         let st = self.stream(stream)?;
+        Self::stat_on(&st, ts_s, ts_e, |lo, hi| st.tree.query(lo, hi))
+    }
+
+    /// [`stream_stat`](Self::stream_stat) from memory alone: `None` ("would
+    /// block") when the stream is not resident or at the first index node
+    /// the cache does not hold. It never hydrates and never reads the
+    /// store, so a caller can try it inline and hand only the misses to a
+    /// thread that may block. An answer (`Some`, error replies included)
+    /// is exactly what `stream_stat` returns. The registry lock is held
+    /// for the residency lookup only, not during the index walk.
+    pub fn stream_stat_cached(
+        &self,
+        stream: u128,
+        ts_s: i64,
+        ts_e: i64,
+    ) -> Option<Result<StreamStat, ServerError>> {
+        let st = match self.resident(stream) {
+            Ok(Some(st)) => st,
+            Ok(None) => return None,
+            Err(e) => return Some(Err(e)),
+        };
+        let (width, window) =
+            match Self::stat_on(&st, ts_s, ts_e, |lo, hi| st.tree.query_cached(lo, hi)) {
+                Ok(stat) => stat,
+                Err(e) => return Some(Err(e)),
+            };
+        let window = match window {
+            Some((lo, hi, part)) => Some((lo, hi, part?)),
+            None => None,
+        };
+        Some(Ok((width, window)))
+    }
+
+    /// The body both stat paths share: the stream's chunk window inside
+    /// `[ts_s, ts_e)` and `query` over it.
+    fn stat_on<T>(
+        st: &StreamState,
+        ts_s: i64,
+        ts_e: i64,
+        query: impl FnOnce(u64, u64) -> Result<T, IndexError>,
+    ) -> Result<StreamStat<T>, ServerError> {
         let lo = st.meta.first_chunk_at_or_after(ts_s);
         let hi = st.meta.chunk_end_at_or_before(ts_e).min(st.tree.len());
         if lo >= hi {
             return Ok((st.meta.digest_width, None));
         }
-        let part = st.tree.query(lo, hi)?;
+        let part = query(lo, hi)?;
         Ok((st.meta.digest_width, Some((lo, hi, part))))
     }
 

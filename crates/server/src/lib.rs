@@ -28,11 +28,12 @@
 //!   cold-touch hydration replays the store *outside* this lock, holding
 //!   only the stream's single-flight hydration gate (lock class
 //!   `hydrate`, ordered before `registry`).
-//! * **Shared, lock-free:** `stream_stat` / `get_stat_range`, `get_range`,
-//!   `stream_info`, and `insert_live`'s staleness check — these read the
-//!   immutable stream metadata and query the aggregation tree against an
-//!   atomically published chunk-count snapshot
-//!   (see `timecrypt_index::tree` for the exactness argument).
+//! * **Shared, lock-free:** `stream_stat` / `stream_stat_cached` /
+//!   `get_stat_range`, `get_range`, `stream_info`, and `insert_live`'s
+//!   staleness check — these read the immutable stream metadata and
+//!   query the aggregation tree against an atomically published
+//!   chunk-count snapshot (see `timecrypt_index::tree` for the exactness
+//!   argument).
 //! * **Shared (ledger read lock):** `get_range_proof` and
 //!   `get_verified_range`. Proof builders run concurrently; an in-flight
 //!   insert excludes them only for its single ledger push.

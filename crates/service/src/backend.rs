@@ -117,6 +117,16 @@ pub trait ShardBackend: Send + Sync + 'static {
         ts_e: i64,
     ) -> Result<Vec<(usize, StreamStatResult)>, ServerError>;
 
+    /// One sub-query answered without blocking, if this backend can: on
+    /// the calling thread, from a resident stream's cached index nodes.
+    /// `None` means "would block" — the sub-query needs a hydration, a
+    /// store read or a round trip, and goes through
+    /// [`stat_leg`](Self::stat_leg) on a pool thread instead. Remote
+    /// backends keep this default.
+    fn stat_cached(&self, _stream: u128, _ts_s: i64, _ts_e: i64) -> Option<StreamStatResult> {
+        None
+    }
+
     /// Registers a stream. Local backends surface the engine's *typed*
     /// error (`StreamExists`, …); remote backends wrap the node's message
     /// in [`ServerError::Remote`].
@@ -212,12 +222,17 @@ pub(crate) fn metered_stat(
     let _span = trace::stage("engine.query");
     let t = Instant::now();
     let r = engine.stream_stat(sid, ts_s, ts_e);
+    record_stat(m, t, &r);
+    r
+}
+
+/// Records one answered sub-query that started at `t`.
+fn record_stat(m: &ShardMetrics, t: Instant, r: &StreamStatResult) {
     m.query_latency.record(t.elapsed());
     m.queries.fetch_add(1, Ordering::Relaxed);
     if r.is_err() {
         m.query_errors.fetch_add(1, Ordering::Relaxed);
     }
-    r
 }
 
 /// The in-process backend: a filtered engine over the coordinator's
@@ -259,6 +274,17 @@ impl ShardBackend for LocalShard {
             .iter()
             .map(|&(pos, sid)| (pos, metered_stat(&self.engine, m, sid, ts_s, ts_e)))
             .collect())
+    }
+
+    // Metered like `metered_stat`, except that an attempt that would
+    // block records nothing: the store walk that answers the sub-query
+    // records its one sample.
+    fn stat_cached(&self, stream: u128, ts_s: i64, ts_e: i64) -> Option<StreamStatResult> {
+        let _span = trace::stage("engine.query");
+        let t = Instant::now();
+        let r = self.engine.stream_stat_cached(stream, ts_s, ts_e)?;
+        record_stat(self.metrics.shard(self.shard), t, &r);
+        Some(r)
     }
 
     fn create_stream(
@@ -821,13 +847,6 @@ impl ShardReplicas {
         self.metrics.shard(self.shard)
     }
 
-    /// Whether the current primary runs in this process. Its sub-queries
-    /// are independent engine calls, where a remote primary pipelines a
-    /// whole leg on one connection.
-    pub(crate) fn primary_is_local(&self) -> bool {
-        self.roles.read().primary.endpoint().is_none()
-    }
-
     /// A consistent snapshot of the current role assignment. Operations
     /// run against the snapshot — a concurrent promotion flips *later*
     /// operations, never one in flight.
@@ -837,8 +856,9 @@ impl ShardReplicas {
     }
 
     /// The current primary alone (mutation paths re-read the backup via
-    /// [`Self::mirror_target`] after the primary acknowledged).
-    fn primary(&self) -> Arc<dyn ShardBackend> {
+    /// [`Self::mirror_target`] after the primary acknowledged; the query
+    /// fan-out tries cache-only sub-queries on it).
+    pub(crate) fn primary(&self) -> Arc<dyn ShardBackend> {
         self.roles.read().primary.clone()
     }
 

@@ -1,12 +1,16 @@
 //! The shared query pool for scatter-gather statistical queries.
 //!
-//! Spawning an OS thread per sub-query costs tens of microseconds — more
-//! than a cached index-tree query itself — so the service keeps one pool
-//! of long-lived threads ([`QueryPool`]) and hands it closures over a
-//! single shared channel: whichever thread is idle picks up the next
-//! task. A query makes one task of each sub-query on an in-process shard
-//! and one of each remote shard's leg (pipelined on one connection), runs
-//! the largest task itself and submits the rest.
+//! A cached index-tree query is a few-microsecond walk, cheaper than
+//! handing it to another thread, so the requesting thread answers those
+//! itself: it tries each sub-query on an in-process shard in cache-only
+//! mode first, holding no registry lock during the walk. Only work that
+//! may block comes here — a sub-query that needs a hydration or a store
+//! read (one task each, so the reads overlap) and each remote shard's leg
+//! (pipelined on one connection). The service keeps one pool of
+//! long-lived threads ([`QueryPool`]) and hands it closures over a single
+//! shared channel: whichever thread is idle picks up the next task. The
+//! caller submits each task as soon as it finds the next one, keeps the
+//! last, runs it and gathers the rest.
 //!
 //! Invariant: pool tasks never submit to the pool and never wait on
 //! another task; only the requesting thread waits, on its own replies.
@@ -31,6 +35,10 @@ const EXTRA_THREADS: usize = 4;
 pub(crate) struct QueryPool {
     tx: Sender<Task>,
     handles: Vec<JoinHandle<()>>,
+    /// Tasks submitted so far, for tests that pin which queries reach
+    /// the pool.
+    #[cfg(test)]
+    pub(crate) submitted: std::sync::atomic::AtomicUsize,
 }
 
 impl QueryPool {
@@ -61,12 +69,20 @@ impl QueryPool {
                     .expect("spawn query worker")
             })
             .collect();
-        QueryPool { tx, handles }
+        QueryPool {
+            tx,
+            handles,
+            #[cfg(test)]
+            submitted: Default::default(),
+        }
     }
 
     /// Runs `task` on an idle pool thread; inline if the pool is shutting
     /// down.
     pub(crate) fn exec(&self, task: Task) {
+        #[cfg(test)]
+        self.submitted
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         if let Err(e) = self.tx.send(task) {
             (e.0)();
         }

@@ -25,11 +25,14 @@
 //!   [`timecrypt_server::merge_stream_stats`], the same fold the
 //!   single-engine path uses. Replies are byte-identical to a
 //!   single-engine deployment on the same workload.
-//! * **One query pool** — the engine's read path takes no exclusive
-//!   stream lock (queries run against a published chunk-count snapshot),
-//!   so every sub-query on an in-process shard is its own task on one
-//!   shared pool, even when many land on one shard; a remote shard's
-//!   sub-queries form one task that pipelines on one connection. Any
+//! * **Cache first, then one query pool** — the engine's read path takes
+//!   no exclusive stream lock (queries run against a published
+//!   chunk-count snapshot). The requesting thread answers every
+//!   sub-query on an in-process shard whose stream is resident and whose
+//!   index nodes are cached; each one that would block (hydration, store
+//!   read) is its own task on one shared pool, even when many land on one
+//!   shard, and a remote shard's sub-queries form one task that
+//!   pipelines on one connection. Any
 //!   number of client threads can query a shard — even one hot stream —
 //!   concurrently with its ingest worker.
 //! * **Multi-node shard placement** ([`backend`], [`node`]) — the router

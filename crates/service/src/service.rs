@@ -358,15 +358,21 @@ impl ShardedService {
         results
     }
 
-    /// Scatter-gather statistical query: the per-stream sub-queries run as
-    /// tasks on the shared query pool — one task per sub-query on an
-    /// in-process shard, one task per remote shard (its sub-queries are
-    /// pipelined on one node connection). The caller runs the largest
-    /// task itself. Everything merges in request order with the same fold
-    /// as the single-engine path — so the reply is byte-identical to
-    /// [`TimeCryptServer::get_stat_range`] on the same data, wherever the
-    /// shards run. A task that panics answers `Unavailable("query worker
-    /// panicked")` for its positions, whichever thread ran it.
+    /// Scatter-gather statistical query, cache first. Each sub-query on an
+    /// in-process primary is first tried in cache-only mode on the calling
+    /// thread ([`ShardBackend::stat_cached`]): a resident stream whose
+    /// index nodes are cached answers in a few microseconds with no thread
+    /// handoff, and without the registry lock held during the walk. What
+    /// would block goes to the shared query pool: one task per sub-query
+    /// that missed (so store reads overlap) and one per remote shard (its
+    /// sub-queries pipelined on one node connection). Each task is
+    /// submitted as soon as the next one is found; the caller keeps the
+    /// last one, runs it and gathers the rest. Everything merges in request
+    /// order with the same fold as the single-engine path — so the reply
+    /// is byte-identical to [`TimeCryptServer::get_stat_range`] on the same
+    /// data, wherever the shards run and whichever thread answered. A
+    /// panic answers `Unavailable("query worker panicked")` for its
+    /// positions, whichever thread it happened on.
     pub fn get_stat_range(
         &self,
         streams: &[u128],
@@ -376,7 +382,7 @@ impl ShardedService {
         let _trace = self.trace_root();
         let ctx = trace::current();
         // The whole-query budget starts before any task is dispatched, so
-        // the inline task's duration counts against it too.
+        // the caller's own work counts against it too.
         let deadline = self.query_deadline.map(|d| std::time::Instant::now() + d);
         let route = trace::stage("route");
         // Partition `(position, stream)` pairs by owning shard.
@@ -384,28 +390,20 @@ impl ShardedService {
         for (pos, &sid) in streams.iter().enumerate() {
             by_shard[self.router.shard_of(sid)].push((pos, sid));
         }
-        let mut tasks: Vec<(usize, Vec<(usize, u128)>)> = Vec::with_capacity(streams.len());
-        for (shard, leg) in by_shard.into_iter().enumerate() {
-            if leg.is_empty() {
-                continue;
-            }
-            if self.backends[shard].primary_is_local() {
-                tasks.extend(leg.into_iter().map(|sub| (shard, vec![sub])));
-            } else {
-                tasks.push((shard, leg));
-            }
-        }
-        // The caller runs the largest task itself, so a query of one task
-        // never crosses a thread boundary.
-        let inline = (0..tasks.len())
-            .max_by_key(|&i| tasks[i].1.len())
-            .map(|i| tasks.swap_remove(i));
         drop(route);
         let mut results: Vec<Option<StreamStatResult>> = Vec::with_capacity(streams.len());
         results.resize_with(streams.len(), || None);
         let (reply_tx, reply_rx) = channel();
-        let pooled = tasks.len();
-        for (shard, leg) in tasks {
+        // Each task found pushes the one kept before it to the pool, so
+        // pooled work starts while the caller is still probing; the caller
+        // runs the last one itself.
+        let mut kept: Option<(usize, Vec<(usize, u128)>)> = None;
+        let mut pooled = 0;
+        let mut found = |task: (usize, Vec<(usize, u128)>)| {
+            let Some((shard, leg)) = kept.replace(task) else {
+                return;
+            };
+            pooled += 1;
             let backend = self.backends[shard].clone();
             let reply = reply_tx.clone();
             self.query_pool.exec(Box::new(move || {
@@ -415,9 +413,30 @@ impl ShardedService {
                 // A dropped caller just means nobody wants the result.
                 let _ = reply.send(contained_stat_leg(&backend, &leg, ts_s, ts_e));
             }));
+        };
+        // Remote legs first, so their round trips overlap the probes.
+        let mut local = Vec::with_capacity(by_shard.len());
+        for (shard, leg) in by_shard.into_iter().enumerate() {
+            if leg.is_empty() {
+                continue;
+            }
+            let primary = self.backends[shard].primary();
+            if primary.endpoint().is_some() {
+                found((shard, leg));
+            } else {
+                local.push((shard, primary, leg));
+            }
+        }
+        for (shard, primary, leg) in local {
+            for (pos, sid) in leg {
+                match contained_stat_cached(primary.as_ref(), sid, ts_s, ts_e) {
+                    Some(r) => results[pos] = Some(r),
+                    None => found((shard, vec![(pos, sid)])),
+                }
+            }
         }
         drop(reply_tx);
-        if let Some((shard, leg)) = inline {
+        if let Some((shard, leg)) = kept {
             for (pos, r) in contained_stat_leg(&self.backends[shard], &leg, ts_s, ts_e) {
                 results[pos] = Some(r);
             }
@@ -598,12 +617,25 @@ fn contained_stat_leg(
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         backend.stat_leg(leg, ts_s, ts_e)
     }))
-    .unwrap_or_else(|_| {
-        leg.iter()
-            .map(|&(pos, _)| (pos, Err(ServerError::Unavailable("query worker panicked"))))
-            .collect()
-    })
+    .unwrap_or_else(|_| leg.iter().map(|&(pos, _)| (pos, Err(PANICKED))).collect())
 }
+
+/// A cache-only sub-query on the caller's thread, with the same panic
+/// containment as [`contained_stat_leg`].
+fn contained_stat_cached(
+    primary: &dyn ShardBackend,
+    sid: u128,
+    ts_s: i64,
+    ts_e: i64,
+) -> Option<StreamStatResult> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        primary.stat_cached(sid, ts_s, ts_e)
+    }))
+    .unwrap_or(Some(Err(PANICKED)))
+}
+
+/// The answer for positions whose sub-query panicked.
+const PANICKED: ServerError = ServerError::Unavailable("query worker panicked");
 
 impl Drop for ShardedService {
     fn drop(&mut self) {
@@ -893,8 +925,28 @@ mod tests {
     fn query_latency_samples_agree_with_query_counter() {
         // One latency sample per sub-query: histogram totals and the
         // `queries` counter must agree in Request::Stats, including when
-        // sub-queries error.
-        let svc = service(2);
+        // sub-queries error, and whether a sub-query was answered on the
+        // calling thread or fell through to the pool.
+        let kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
+        let cfg = ServiceConfig {
+            shards: 2,
+            ..ServiceConfig::default()
+        };
+        let assert_counted = |svc: &ShardedService, expect: u64| {
+            let snap = svc.stats();
+            let mut total = 0u64;
+            for shard in &snap.shards {
+                assert_eq!(
+                    shard.queries,
+                    shard.query_hist_us.iter().sum::<u64>(),
+                    "shard {}: counter vs histogram",
+                    shard.shard
+                );
+                total += shard.queries;
+            }
+            assert_eq!(total, expect);
+        };
+        let svc = ShardedService::open(kv.clone(), cfg.clone()).unwrap();
         for id in 1..=5u128 {
             svc.create_stream(id, 0, 10_000, 2).unwrap();
             svc.insert(&sealed_chunk(id, 0, id as i64)).unwrap();
@@ -903,18 +955,25 @@ mod tests {
         svc.get_stat_range(&[2, 4], 0, 10_000).unwrap();
         // Unknown stream: the sub-query errors but is still counted+timed.
         let _ = svc.get_stat_range(&[1, 99], 0, 10_000);
-        let snap = svc.stats();
-        let mut total = 0u64;
-        for shard in &snap.shards {
-            assert_eq!(
-                shard.queries,
-                shard.query_hist_us.iter().sum::<u64>(),
-                "shard {}: counter vs histogram",
-                shard.shard
-            );
-            total += shard.queries;
-        }
-        assert_eq!(total, 9, "5 + 2 + 2 sub-queries");
+        assert_counted(&svc, 5 + 2 + 2);
+        drop(svc);
+        // Reopened, 1 and 2 warmed: the mixed query answers 1, 2 and 99
+        // inline, and 3, 4, 5 hydrate on the pool.
+        let svc = ShardedService::open(kv, cfg).unwrap();
+        svc.get_stat_range(&[1, 2], 0, 10_000).unwrap();
+        let pooled = svc
+            .query_pool
+            .submitted
+            .load(std::sync::atomic::Ordering::Relaxed);
+        let _ = svc.get_stat_range(&[1, 2, 3, 4, 5, 99], 0, 10_000);
+        assert!(
+            svc.query_pool
+                .submitted
+                .load(std::sync::atomic::Ordering::Relaxed)
+                > pooled,
+            "the cold streams fell through to the pool"
+        );
+        assert_counted(&svc, 2 + 6);
     }
 
     /// Creates `ids` on `svc` and ingests two chunks into each.
@@ -944,11 +1003,13 @@ mod tests {
 
     #[test]
     fn fan_out_matches_single_engine_reply_on_every_placement() {
-        // Many streams per shard: each in-process sub-query is its own pool
-        // task and a remote shard's leg is one pipelined task. Wherever the
-        // shards run, the reply must be byte-identical to one engine
-        // walking the same chunks, and the first bad stream must decide
-        // the error.
+        // Many streams per shard, warm (resident, index nodes cached:
+        // answered on the calling thread) and cold (reopened: each
+        // in-process sub-query hydrates in its own pool task); a remote
+        // shard's leg is one pipelined task either way. Wherever the
+        // shards run and whichever thread answers, the reply must be
+        // byte-identical to one engine walking the same chunks, and the
+        // first bad stream must decide the error.
         let ids: Vec<u128> = (1..=12).collect();
         let single = single_engine_reply(&ids);
         let (_node, addr) = spawn_node(2, vec![1]);
@@ -969,23 +1030,42 @@ mod tests {
             },
         ));
         for (name, cfg) in placements {
-            let svc = ShardedService::open(Arc::new(MemKv::new()), cfg).unwrap();
-            ingest_two_chunks(&svc, &ids);
-            assert_eq!(
-                svc.get_stat_range(&ids, 0, 20_000).unwrap(),
-                single,
-                "{name}"
-            );
-            // A remote shard renders the node's message, so compare what
-            // the wire carries.
-            let err = svc
-                .get_stat_range(&[1, 2, 3, 4, 5, 6, 7, 77], 0, 20_000)
-                .unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                ServerError::NoSuchStream(77).to_string(),
-                "{name}"
-            );
+            let all_local = cfg.topology.is_empty();
+            let check = |svc: &ShardedService, temp: &str| {
+                let submitted = || {
+                    svc.query_pool
+                        .submitted
+                        .load(std::sync::atomic::Ordering::Relaxed)
+                };
+                let before = submitted();
+                assert_eq!(
+                    svc.get_stat_range(&ids, 0, 20_000).unwrap(),
+                    single,
+                    "{name}, {temp}"
+                );
+                let pooled = submitted() - before;
+                match temp {
+                    "warm" if all_local => assert_eq!(pooled, 0, "{name}: warm query pooled"),
+                    "cold" => assert!(pooled >= 1, "{name}: cold query never pooled"),
+                    _ => {}
+                }
+                // A remote shard renders the node's message, so compare
+                // what the wire carries.
+                let err = svc
+                    .get_stat_range(&[1, 2, 3, 4, 5, 6, 7, 77], 0, 20_000)
+                    .unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    ServerError::NoSuchStream(77).to_string(),
+                    "{name}, {temp}"
+                );
+            };
+            let kv: Arc<dyn KvStore> = Arc::new(MemKv::new());
+            let warm = ShardedService::open(kv.clone(), cfg.clone()).unwrap();
+            ingest_two_chunks(&warm, &ids);
+            check(&warm, "warm");
+            drop(warm);
+            check(&ShardedService::open(kv, cfg).unwrap(), "cold");
         }
     }
 
@@ -1018,12 +1098,63 @@ mod tests {
         }
     }
 
+    /// A shard whose cache-only attempts panic; everything else goes to
+    /// the wrapped backend.
+    struct PanickingProbe(Arc<dyn ShardBackend>);
+
+    impl ShardBackend for PanickingProbe {
+        fn stat_cached(&self, _: u128, _: i64, _: i64) -> Option<StreamStatResult> {
+            panic!("injected cache-only panic")
+        }
+        fn call(&self, req: Request) -> Result<Response, ServerError> {
+            self.0.call(req)
+        }
+        fn stat_leg(
+            &self,
+            legs: &Leg,
+            ts_s: i64,
+            ts_e: i64,
+        ) -> Result<Vec<(usize, StreamStatResult)>, ServerError> {
+            self.0.stat_leg(legs, ts_s, ts_e)
+        }
+        fn create_stream(
+            &self,
+            id: u128,
+            t0: i64,
+            delta: u64,
+            width: u32,
+        ) -> Result<(), ServerError> {
+            self.0.create_stream(id, t0, delta, width)
+        }
+        fn insert_batch(
+            &self,
+            chunks: &[EncryptedChunk],
+        ) -> Result<Vec<Result<(), ServerError>>, ServerError> {
+            self.0.insert_batch(chunks)
+        }
+        fn stream_count(&self) -> Result<u64, ServerError> {
+            self.0.stream_count()
+        }
+        fn list_streams(
+            &self,
+        ) -> Result<Vec<timecrypt_wire::messages::StreamInfoWire>, ServerError> {
+            self.0.list_streams()
+        }
+        fn export_chunks(
+            &self,
+            stream: u128,
+            from_idx: u64,
+        ) -> Result<crate::backend::ExportPage, ServerError> {
+            self.0.export_chunks(stream, from_idx)
+        }
+    }
+
     #[test]
     fn query_panics_are_contained_on_every_placement() {
-        // The caller's inline task and the pooled tasks must answer a panic
-        // the same way, so the reply cannot depend on how many shards the
-        // streams spread over — and a panic must never unwind into the
-        // caller's (connection) thread.
+        // The caller's cache-only attempts, the task it keeps and the
+        // pooled tasks must all answer a panic the same way, so the reply
+        // cannot depend on how many shards the streams spread over — and
+        // a panic must never unwind into the caller's (connection) thread.
         let ids: Vec<u128> = (1..=6).collect();
         let single = single_engine_reply(&ids);
         for shards in 1..=3 {
@@ -1040,21 +1171,36 @@ mod tests {
             // hydrates it from the store. (A warm stream would not reach
             // the store — the index cache keeps at least one node per
             // lock stripe, however small its byte budget.)
-            let svc = ShardedService::open(kv.clone(), cfg).unwrap();
+            let mut svc = ShardedService::open(kv.clone(), cfg).unwrap();
+            let contained = |svc: &ShardedService, what: &str| {
+                let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    svc.get_stat_range(&ids, 0, 20_000)
+                }))
+                .unwrap_or_else(|_| panic!("{shards} shards: the {what} panic unwound"));
+                assert!(
+                    matches!(
+                        reply,
+                        Err(ServerError::Unavailable("query worker panicked"))
+                    ),
+                    "{shards} shards, {what}: {reply:?}"
+                );
+            };
             kv.armed.store(true, std::sync::atomic::Ordering::Relaxed);
-            let reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                svc.get_stat_range(&ids, 0, 20_000)
-            }))
-            .unwrap_or_else(|_| panic!("{shards} shards: the query panic unwound"));
-            assert!(
-                matches!(
-                    reply,
-                    Err(ServerError::Unavailable("query worker panicked"))
-                ),
-                "{shards} shards: {reply:?}"
-            );
+            contained(&svc, "store");
             kv.armed.store(false, std::sync::atomic::Ordering::Relaxed);
             assert_eq!(svc.get_stat_range(&ids, 0, 20_000).unwrap(), single);
+            // Now warm: every sub-query is tried inline first.
+            for shard in 0..shards {
+                let probe = Arc::new(PanickingProbe(svc.backends[shard].primary()));
+                svc.backends[shard] = Arc::new(ShardReplicas::new(
+                    shard,
+                    svc.metrics.clone(),
+                    probe,
+                    None,
+                    0,
+                ));
+            }
+            contained(&svc, "cache-only");
         }
     }
 
